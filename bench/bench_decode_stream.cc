@@ -7,7 +7,7 @@
  * allocation pattern and algorithm alike:
  *   - int-dct: RLE-expand to a full coefficient window, DENSE
  *     inverse matrix product, samples pushed into a freshly
- *     allocated shared vector (the DecodedWindowCache miss shape);
+ *     allocated shared vector (the PR-2 cache-miss shape);
  *   - dct-w:   the same O(ws) window decode it has today, but
  *     through a freshly allocated shared vector per window;
  *   - delta:   whole-channel decode-and-slice per window — delta had

@@ -197,8 +197,8 @@ percentile(std::vector<double> v, double p)
 
 /** Cache hit rate over a counter delta. */
 double
-hitRate(const runtime::DecodedCacheStats &now,
-        const runtime::DecodedCacheStats &before)
+hitRate(const runtime::TieredStoreStats &now,
+        const runtime::TieredStoreStats &before)
 {
     const auto hits = now.hits - before.hits;
     const auto misses = now.misses - before.misses;

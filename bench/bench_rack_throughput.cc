@@ -1,11 +1,12 @@
 /**
  * @file
  * Rack-runtime throughput: sweep qubit count (surface-code distance)
- * x shard count x decoded-window cache size, executing syndrome-cycle
- * batches on the sharded control-rack runtime, and report wall-clock
- * gates/s and samples/s plus cache behavior. The headline metric is
- * the cached/uncached gates-per-second ratio — how much the
- * decoded-window cache buys a rack replaying hot QEC pulses.
+ * x shard count x waveform-memory model size, executing
+ * syndrome-cycle batches on the sharded control-rack runtime, and
+ * report wall-clock gates/s and samples/s plus the model's counters.
+ * Both sides decode every window, so the headline cached/uncached
+ * gates-per-second ratio is the cost of the per-shard tag model
+ * (1.0 = free).
  *
  * Emits BENCH_rack_throughput.json (bench::JsonReport) so the runtime
  * performance trajectory is tracked across PRs.
@@ -18,6 +19,7 @@
 #include <algorithm>
 #include <cstring>
 #include <iostream>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -64,42 +66,63 @@ makeWorkload(int distance, int batch_size)
             static_cast<std::size_t>(batch_size), sched)};
 }
 
-/** Steady-state run: one warmup batch to fill the cache, then the
- *  best of three measured batches (sub-millisecond intervals are at
- *  the mercy of the OS scheduler; best-of-N reports the machine's
- *  capability, not its stalls). */
-runtime::RackStats
-run(const Workload &w, int shards, std::size_t cache_windows,
-    int workers)
+/** One rack shape, warmed by one batch. */
+struct RackRun
 {
-    runtime::RackConfig rc;
-    rc.numShards = shards;
-    rc.policy = runtime::ShardPolicy::LocalityAware;
-    rc.controller.compressed = true;
-    rc.controller.windowSize = 16;
-    rc.controller.memoryWidth = w.clib.worstCaseWindowWords();
-    rc.cacheWindows = cache_windows;
-    const runtime::Rack rack(w.dev, w.clib, rc);
-    runtime::RuntimeService svc(rack, {.workers = workers});
-    svc.executeBatch(w.batch);
-    auto best = svc.executeBatch(w.batch);
-    for (int rep = 1; rep < 3; ++rep) {
-        auto stats = svc.executeBatch(w.batch);
-        if (stats.gatesPerSec > best.gatesPerSec)
-            best = stats;
+    runtime::Rack rack;
+    int workers;
+    runtime::RackStats best;
+    /** gates/s of every measured batch, in order. */
+    std::vector<double> rates;
+
+    static runtime::RackConfig
+    config(const Workload &w, int shards, std::size_t cache_windows)
+    {
+        runtime::RackConfig rc;
+        rc.numShards = shards;
+        rc.policy = runtime::ShardPolicy::LocalityAware;
+        rc.controller.compressed = true;
+        rc.controller.windowSize = 16;
+        rc.controller.memoryWidth = w.clib.worstCaseWindowWords();
+        rc.cacheWindows = cache_windows;
+        return rc;
     }
-    return best;
-}
+
+    RackRun(const Workload &w, int shards, std::size_t cache_windows,
+            int workers_)
+        : rack(w.dev, w.clib, config(w, shards, cache_windows)),
+          workers(workers_)
+    {
+        runtime::RuntimeService(rack, {.workers = workers})
+            .executeBatch(w.batch);
+    }
+
+    /** Run one measured batch on a fresh service, keeping the fastest
+     *  (sub-millisecond intervals are at the mercy of the OS
+     *  scheduler; best-of-N reports the machine's capability, not its
+     *  stalls). A fresh service per batch re-draws where its worker
+     *  threads land, so no configuration keeps a bad placement for a
+     *  whole run. */
+    void
+    measure(const Workload &w)
+    {
+        auto stats = runtime::RuntimeService(rack, {.workers = workers})
+                         .executeBatch(w.batch);
+        rates.push_back(stats.gatesPerSec);
+        if (stats.gatesPerSec > best.gatesPerSec)
+            best = std::move(stats);
+    }
+};
 
 // ---------------------------------------------------------------
-// Hierarchical-store sweep: a skewed multi-tenant mix (hot QEC
+// Hierarchical-model sweep: a skewed multi-tenant mix (hot QEC
 // patch replayed every batch + a churning scan tenant whose one-shot
 // pulses exceed the total budget) across tier splits and admission
-// policies at EQUAL total window budget. Window slots are uniform
-// ws-sample buckets, so an equal window budget is an equal sample
-// budget. The claim under test: an admission-controlled two-tier
-// store beats the single-tier admit-always LRU on hit rate AND
-// gates/s, because one-shot churn stops flushing the hot set.
+// policies at EQUAL total window budget. Every window is ws samples,
+// so an equal window budget is an equal sample budget. The claim
+// under test: an admission-controlled two-tier model beats the
+// single-tier admit-always LRU on hit rate, because one-shot churn
+// stops flushing the hot set.
 // ---------------------------------------------------------------
 
 /** Unique decoded windows the gates of a schedule occupy. */
@@ -219,30 +242,21 @@ runSkew(const SkewWorkload &w, const SkewConfig &cfg, int shards,
     rc.controller.windowSize = static_cast<std::uint32_t>(ws);
     rc.controller.memoryWidth = w.clib.worstCaseWindowWords();
     rc.cacheWindows = cfg.tier0;
-    rc.cacheSampleBudget = cfg.tier0 * ws;
     rc.tier1Windows = cfg.tier1;
-    rc.tier1SampleBudget = cfg.tier1 * ws;
     rc.admission = cfg.admission;
     const runtime::Rack rack(w.dev, w.clib, rc);
     runtime::RuntimeService svc(rack, {.workers = workers});
     svc.executeBatch(w.batch); // warm the hierarchy
-    // Aggregate counters and wall clock over every measured batch:
-    // steady-state rates over the whole run, not a lucky interval.
+    // Aggregate counters over every measured batch: steady-state
+    // rates over the whole run, not a lucky interval.
     SkewResult best;
-    runtime::DecodedCacheStats cache_sum;
-    double wall = 0.0;
-    std::uint64_t gates = 0;
+    runtime::TieredStoreStats cache_sum;
     for (int rep = 0; rep < reps; ++rep) {
         best.stats = svc.executeBatch(w.batch);
-        wall += best.stats.wallSeconds;
-        gates += best.stats.totalGates;
-        cache_sum.accumulate(best.stats.cache);
+        cache_sum.advance(best.stats.cache);
     }
     best.stats.cache = cache_sum;
     best.stats.cacheHitRate = cache_sum.hitRate();
-    best.stats.wallSeconds = wall;
-    best.stats.gatesPerSec =
-        wall > 0.0 ? static_cast<double>(gates) / wall : 0.0;
 
     // Model the control path's power with each tier's macro serving
     // its measured share of window fetches (decoded-sample streaming
@@ -302,14 +316,24 @@ main(int argc, char **argv)
               "Msamples/s", "hit rate", "hits", "misses", "evict",
               "fleet banks", "feasible"});
 
-    double uncached_best = 0.0, cached_best = 0.0;
+    double uncached_best = 0.0, cached_best = 0.0, speedup = 0.0;
     double cached_samples_per_sec = 0.0, cached_hit_rate = 0.0;
-    runtime::DecodedCacheStats cached_best_counters;
+    runtime::TieredStoreStats cached_best_counters;
     for (const int d : distances) {
         const auto w = makeWorkload(d, batch_size);
         for (const int shards : shard_counts) {
-            for (const std::size_t cache : cache_sizes) {
-                const auto stats = run(w, shards, cache, workers);
+            // Every cache size of one shape runs its measured batches
+            // in turn, so host drift hits each side of the ratio alike.
+            std::vector<std::unique_ptr<RackRun>> runs;
+            for (const std::size_t cache : cache_sizes)
+                runs.push_back(
+                    std::make_unique<RackRun>(w, shards, cache, workers));
+            for (int rep = 0; rep < 49; ++rep)
+                for (auto &r : runs)
+                    r->measure(w);
+            for (std::size_t i = 0; i < runs.size(); ++i) {
+                const std::size_t cache = cache_sizes[i];
+                const auto &stats = runs[i]->best;
                 t.row({std::to_string(w.qubits),
                        std::to_string(shards),
                        std::to_string(cache),
@@ -332,6 +356,19 @@ main(int argc, char **argv)
                         cached_samples_per_sec = stats.samplesPerSec;
                         cached_hit_rate = stats.cacheHitRate;
                         cached_best_counters = stats.cache;
+                        // The ratio is the median of the batches'
+                        // paired cached/uncached rates: each pair ran
+                        // back to back, so host drift cancels.
+                        std::vector<double> ratios;
+                        for (std::size_t k = 0; k < runs[i]->rates.size();
+                             ++k)
+                            ratios.push_back(runs[i]->rates[k] /
+                                             runs[0]->rates[k]);
+                        std::nth_element(ratios.begin(),
+                                         ratios.begin() +
+                                             ratios.size() / 2,
+                                         ratios.end());
+                        speedup = ratios[ratios.size() / 2];
                     }
                 }
             }
@@ -339,19 +376,16 @@ main(int argc, char **argv)
     }
     report.print(t);
 
-    const double speedup =
-        uncached_best > 0.0 ? cached_best / uncached_best : 0.0;
-    std::cout << "\ndecoded-window cache speedup (gates/s, cached vs"
-                 " uncached): "
+    std::cout << "\nwaveform-memory model cost (gates/s, modeled vs"
+                 " unmodeled): "
               << Table::num(speedup, 2) << "x\n";
     report.metric("cache_speedup_gates_per_sec", speedup);
     report.metric("uncached_gates_per_sec", uncached_best);
     report.metric("cached_gates_per_sec", cached_best);
     report.metric("cached_samples_per_sec", cached_samples_per_sec);
     report.metric("cached_hit_rate", cached_hit_rate);
-    // Per-batch cache counters of the winning cached configuration —
-    // collected by the rack since PR 2, now exported so hit/miss/
-    // eviction behavior is tracked across PRs alongside throughput.
+    // Per-batch model counters of the winning cached configuration,
+    // so hit/miss/eviction behavior is tracked alongside throughput.
     report.metric("cached_hits",
                   static_cast<double>(cached_best_counters.hits));
     report.metric("cached_misses",
@@ -372,7 +406,7 @@ main(int argc, char **argv)
         "cached_prefetch_wasted",
         static_cast<double>(cached_best_counters.prefetchWasted));
 
-    // ---- Hierarchical-store sweep (skewed multi-tenant mix) ----
+    // ---- Hierarchical-model sweep (skewed multi-tenant mix) ----
     const std::size_t ws = 32;
     // Churn footprint ~2.3x the total budget: enough to fully cycle
     // a recency-only cache between hot replays without drowning the
@@ -386,10 +420,6 @@ main(int argc, char **argv)
     const std::size_t t1 = t0;
     const std::vector<SkewConfig> configs = {
         {"flat_lru", t0 + t1, 0, runtime::AdmissionPolicy::AdmitAlways},
-        {"tiered_admit_always", t0, t1,
-         runtime::AdmissionPolicy::AdmitAlways},
-        {"tiered_second_touch", t0, t1,
-         runtime::AdmissionPolicy::SecondTouch},
         {"tiered_tinylfu", t0, t1, runtime::AdmissionPolicy::TinyLfu},
     };
     std::cout << "\nskewed workload: hot windows=" << sw.hotWindows
@@ -397,24 +427,19 @@ main(int argc, char **argv)
               << " total budget=" << t0 + t1 << " (tier0=" << t0
               << ", tier1=" << t1 << ")\n";
 
-    Table st("hierarchical store: admission policy x tier split"
+    Table st("hierarchical model: admission policy x tier split"
              " (skewed multi-tenant mix, equal total budget)");
-    st.header({"config", "gates/s", "hit rate", "t0 hit", "t1 hit",
-               "promote", "demote", "rejected", "penalty cyc",
-               "power(mW)"});
+    st.header({"config", "hit rate", "t0 hit", "t1 hit", "promote",
+               "demote", "rejected", "penalty cyc", "power(mW)"});
     SkewResult flat;
     const SkewResult *best = nullptr;
     std::string best_name;
     std::vector<SkewResult> results;
     results.reserve(configs.size());
     for (const auto &cfg : configs) {
-        // One worker: the batch's tenant interleaving is exactly the
-        // submission order (churn closing every batch) and the
-        // measurement is decode-bound and reproducible — the policy
-        // comparison is about what each admission decision lets the
-        // rack skip re-decoding, not about lock contention. The
-        // concurrent store is hammered by the headline sweep above
-        // and the TSan'd runtime tests.
+        // The counters are identical at any worker count (each shard's
+        // column replays the batch in submission order against its
+        // own model); one worker keeps the sweep cheap.
         results.push_back(runSkew(sw, cfg, /*shards=*/2,
                                   /*workers=*/1,
                                   /*reps=*/tiny ? 3 : 6, ws));
@@ -422,8 +447,7 @@ main(int argc, char **argv)
         const auto &c = r.stats.cache;
         const double demand =
             static_cast<double>(c.hits + c.misses);
-        st.row({cfg.name, Table::num(r.stats.gatesPerSec, 0),
-                Table::num(c.hitRate(), 3),
+        st.row({cfg.name, Table::num(c.hitRate(), 3),
                 Table::num(demand > 0.0
                                ? static_cast<double>(c.tier[0].hits) /
                                      demand
@@ -442,56 +466,27 @@ main(int argc, char **argv)
                 Table::num(r.power.total() * 1e3, 3)});
         const std::string name = cfg.name;
         report.metric("skew_" + name + "_hit_rate", c.hitRate());
-        report.metric("skew_" + name + "_gates_per_sec",
-                      r.stats.gatesPerSec);
         report.metric("skew_" + name + "_power_mw",
                       r.power.total() * 1e3);
         report.metric("skew_" + name + "_penalty_cycles",
                       static_cast<double>(c.penaltyCycles));
         if (name == "flat_lru") {
             flat = r;
-        } else {
-            // The claim needs one policy ahead on BOTH axes: among
-            // configs beating the flat LRU's hit rate, keep the
-            // fastest (falling back to best hit rate if none do).
-            const bool beats_hit =
-                c.hitRate() > flat.stats.cache.hitRate();
-            const bool best_beats_hit =
-                best && best->stats.cache.hitRate() >
-                            flat.stats.cache.hitRate();
-            const bool better =
-                !best ||
-                (beats_hit == best_beats_hit
-                     ? (beats_hit
-                            ? r.stats.gatesPerSec >
-                                  best->stats.gatesPerSec
-                            : c.hitRate() >
-                                  best->stats.cache.hitRate())
-                     : beats_hit);
-            if (better) {
-                best = &results.back();
-                best_name = name;
-            }
+        } else if (!best || c.hitRate() > best->stats.cache.hitRate()) {
+            best = &results.back();
+            best_name = name;
         }
     }
     report.print(st);
 
     const double flat_hit = flat.stats.cache.hitRate();
     const double best_hit = best ? best->stats.cache.hitRate() : 0.0;
-    const double gates_ratio =
-        best && flat.stats.gatesPerSec > 0.0
-            ? best->stats.gatesPerSec / flat.stats.gatesPerSec
-            : 0.0;
     std::cout << "\nbest admission policy (" << best_name
               << ") vs single-tier LRU: hit rate "
               << Table::num(flat_hit, 3) << " -> "
-              << Table::num(best_hit, 3) << ", gates/s ratio "
-              << Table::num(gates_ratio, 2) << "x\n";
+              << Table::num(best_hit, 3) << "\n";
     report.metric("skew_best_hit_rate", best_hit);
-    report.metric("skew_best_gates_ratio", gates_ratio);
-    report.metric("skew_best_beats_lru",
-                  best_hit > flat_hit && gates_ratio > 1.0 ? 1.0
-                                                           : 0.0);
+    report.metric("skew_best_beats_lru", best_hit > flat_hit ? 1.0 : 0.0);
     report.setEnv("skew_best_policy", best_name);
     report.setEnv("skew_tier0_windows",
                   static_cast<std::int64_t>(t0));
@@ -515,9 +510,6 @@ main(int argc, char **argv)
                       static_cast<std::int64_t>(c.promotions));
         report.setEnv("skew_demotions",
                       static_cast<std::int64_t>(c.demotions));
-        report.setEnv(
-            "skew_duplicate_decodes_avoided",
-            static_cast<std::int64_t>(c.duplicateDecodesAvoided));
     }
     return 0;
 }

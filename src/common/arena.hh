@@ -14,7 +14,7 @@
  *
  * Lifetime rules:
  *  - A SampleSpan never owns its memory; the producer of the span
- *    defines its lifetime (arena frame, cache slab, caller buffer).
+ *    defines its lifetime (arena frame, caller buffer).
  *  - Arena spans stay valid until the arena is reset() or the
  *    enclosing ScratchArena::Frame is destroyed, whichever is sooner.
  *  - The arena is strictly LIFO via Frame: a callee may take spans

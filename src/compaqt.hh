@@ -81,7 +81,6 @@ using waveform::IqWaveform;
 using waveform::PulseLibrary;
 
 // Sharded control-rack runtime
-using runtime::DecodedWindowCache;
 using runtime::Rack;
 using runtime::RackConfig;
 using runtime::RackStats;
@@ -95,11 +94,10 @@ using runtime::LibraryRegistry;
 using runtime::LibraryVersionInfo;
 using runtime::VersionedLibrary;
 
-// Hierarchical waveform memory (two-tier decoded-window store with
-// pluggable admission; DecodedWindowCache aliases TieredWindowStore)
+// Hierarchical waveform-memory model (per-shard, tags-only, two tiers
+// with LRU or TinyLFU admission to the fast tier)
 using runtime::AdmissionPolicy;
 using runtime::admissionPolicyName;
-using runtime::TierConfig;
 using runtime::TieredStoreConfig;
 using runtime::TieredStoreStats;
 using runtime::TieredWindowStore;

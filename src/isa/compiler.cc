@@ -204,12 +204,15 @@ Compiler::compileShard(const circuits::Schedule &part,
                      });
 
     // ---- gather first-use windows for prefetch hoisting. Later
-    // plays of the same (gate, channel, window) hit the cache on
+    // plays of the same (gate, channel, window) hit the model on
     // their own; only the first demand of each cacheable window is
     // worth warming.
+    // Every shard's model has shard 0's shape, up to one window of
+    // remainder.
+    const runtime::TieredStoreConfig store = rack_.storeConfig(0);
     const bool prefetchable = cfg_.emitPrefetch && cc.compressed &&
-                              rack_.cache().capacity() > 0;
-    const bool tiered = rack_.cache().tiered();
+                              store.tier0Windows + store.tier1Windows > 0;
+    const bool tiered = store.tier1Windows > 0;
     std::vector<PrefetchItem> items;
     if (prefetchable) {
         // Schedule lookahead for tier targeting: walk the issue
@@ -237,7 +240,7 @@ Compiler::compileShard(const circuits::Schedule &part,
         const std::uint64_t tier0_distance =
             cfg_.tier0ReuseDistance != 0
                 ? cfg_.tier0ReuseDistance
-                : rack_.cache().config().tier0.windows;
+                : store.tier0Windows;
         std::map<waveform::GateId, bool> seen;
         for (std::size_t i = 0; i < issued.size(); ++i) {
             const Issued &e = issued[i];
@@ -311,7 +314,7 @@ Compiler::compileShard(const circuits::Schedule &part,
                 continue;
             }
             if (outstanding >= cfg_.maxOutstandingPrefetches)
-                break; // pin cap: retry after some plays retire
+                break; // outstanding cap: retry after some plays retire
             prog.emit(Instruction::prefetch(item.ref, item.channel,
                                             item.window, item.tier));
             item.prefetched = true;

@@ -14,7 +14,8 @@
  * through the program's gate table, and — where the stream has idle
  * slack — PREFETCH ops for each first-use window are hoisted at
  * least `prefetchLeadCycles` ahead of their consuming PLAY, warming
- * the rack's DecodedWindowCache before playback demands the window.
+ * the shard's waveform-memory model before playback demands the
+ * window.
  *
  * Every program is bounded: the mandatory stream (gate table, PLAYs,
  * WAITs, BARRIER, HALT) must fit `instructionMemoryWords` or the
@@ -49,7 +50,8 @@ struct CompilerConfig
      *  consuming PLAY; first uses with less slack are not hoisted. */
     std::uint32_t prefetchLeadCycles = 8;
     /** Cap on prefetched-but-not-yet-consumed windows, bounding how
-     *  many cache slots prefetch pins can hold at once. */
+     *  much of the shard's memory model prefetches can claim at
+     *  once. */
     std::size_t maxOutstandingPrefetches = 256;
     /** Master switch for PREFETCH emission. */
     bool emitPrefetch = true;

@@ -5,10 +5,10 @@
  * runtime::WindowPlayer, so the stats it produces are bit-identical
  * to the direct schedule-walking path by construction.
  *
- * PREFETCH ops warm the rack's DecodedWindowCache and pin the warmed
- * window through its ref-counted Handle; the pin is dropped when the
- * consuming PLAY retires the window range, so an eviction burst
- * between a prefetch and its use cannot undo the warming.
+ * PREFETCH ops place the window's tag in the shard's waveform-memory
+ * model ahead of its PLAY (the batch path hands the interpreter its
+ * shard's model); nothing is decoded until the PLAY, which decodes
+ * every window.
  */
 
 #ifndef COMPAQT_ISA_INTERPRETER_HH
@@ -32,10 +32,10 @@ struct InterpreterStats
     std::uint64_t waits = 0;
     /** WAIT cycles the modeled sequencer idled. */
     std::uint64_t idleCycles = 0;
-    /** PREFETCH ops that decoded-and-pinned a cold window. */
+    /** PREFETCH ops that placed a cold window in the model. */
     std::uint64_t prefetchesIssued = 0;
     /** PREFETCH ops that were no-ops: window already resident, flat
-     *  bypass window, or the cache is disabled. */
+     *  bypass window, or no model. */
     std::uint64_t prefetchesSkipped = 0;
     std::uint64_t barriers = 0;
 };
@@ -58,17 +58,21 @@ struct InterpreterResult
 class Interpreter
 {
   public:
-    /** Pin the rack's current library epoch at construction. */
+    /** Pin the rack's current library epoch at construction; no
+     *  model (a stateless interpreter, e.g. for layer probes). */
     explicit Interpreter(const runtime::Rack &rack)
         : Interpreter(rack, rack.currentLibrary())
     {
     }
 
     /** Execute against an explicitly pinned epoch (the batch path:
-     *  every cell of one batch shares the batch's pin). */
+     *  every cell of one batch shares the batch's pin), recording
+     *  PLAY and PREFETCH traffic in `store` when given (the caller
+     *  holds the shard's lock). */
     Interpreter(const runtime::Rack &rack,
-                runtime::VersionedLibrary vlib)
-        : rack_(rack), vlib_(std::move(vlib)), player_(rack, vlib_)
+                runtime::VersionedLibrary vlib,
+                runtime::TieredWindowStore *store = nullptr)
+        : vlib_(std::move(vlib)), player_(rack, vlib_, store)
     {
     }
 
@@ -93,7 +97,6 @@ class Interpreter
     InterpreterResult run(const InstructionProgram &prog);
 
   private:
-    const runtime::Rack &rack_;
     runtime::VersionedLibrary vlib_;
     runtime::WindowPlayer player_;
 };

@@ -1,10 +1,11 @@
 /**
  * @file
  * The one window-playback loop both execution back ends share:
- * decode a range of windows of one gate channel through the rack's
- * DecodedWindowCache (or straight into reused scratch on an uncached
- * rack), with adaptive flat windows served as constant fills through
- * the IDCT bypass.
+ * decode a range of windows of one gate channel straight into reused
+ * scratch through the batch decode primitive, with adaptive flat
+ * windows served as constant fills through the IDCT bypass. Every
+ * window is decoded; a shard's waveform-memory model, when the
+ * player has one, only records each access as a tag.
  *
  * RuntimeService's direct schedule-walking path and the
  * instruction-stream interpreter (isa::Interpreter) both play
@@ -36,50 +37,46 @@ struct PlaybackCounters
 };
 
 /**
- * Per-cell playback state: one Decompressor, the cached/uncached
- * mode decision, and the reused scratch buffer. Not thread-safe —
- * build one per worker cell, like the codec instances it resolves.
+ * Per-cell playback state: one Decompressor, the reused scratch
+ * buffer, and optionally the shard's waveform-memory model. Not
+ * thread-safe — build one per worker cell, like the codec instances
+ * it resolves.
  */
 class WindowPlayer
 {
   public:
     /**
-     * Windows decoded per batch on the non-adaptive paths: an
-     * uncached range decodes in kBatch-window chunks, and a cached
-     * range batch-decodes runs of consecutive misses up to this
-     * long. 8 windows keeps the scratch footprint at a few KB while
-     * amortizing the per-batch dispatch (codec resolution, counter
-     * bumps, virtual call) well past the point of diminishing
-     * returns — the bench's K sweep quantifies exactly that curve.
+     * Windows decoded per batch decode call. 8 windows keeps the
+     * scratch footprint at a few KB while amortizing the per-batch
+     * dispatch (codec resolution, counter bumps, virtual call) well
+     * past the point of diminishing returns — bench_decode_stream's
+     * K sweep quantifies exactly that curve.
      */
     static constexpr std::uint32_t kBatchWindows = 8;
 
     /**
-     * Play against a pinned library epoch: cache keys carry
-     * `vlib.version`, so windows decoded from different calibrations
-     * can never satisfy each other's lookups. The player keeps only
-     * the version — the caller owns the pin (and passes the entries).
+     * Play against a pinned library epoch, recording accesses in
+     * `store` (null = no model). Model keys carry `vlib.version`, so
+     * windows of different calibrations never alias. The player keeps
+     * only the version — the caller owns the pin (and passes the
+     * entries) and the model's lock.
      */
-    WindowPlayer(const Rack &rack, const VersionedLibrary &vlib)
-        : rack_(rack),
-          decode_(rack.config().controller.compressed),
-          // An uncached rack decodes straight into reused scratch —
-          // no lock, no refcount — so the cached/uncached comparison
-          // measures the cache, not overhead of a disabled cache
-          // object.
-          cached_(rack.cache().capacity() > 0),
+    WindowPlayer(const Rack &rack, const VersionedLibrary &vlib,
+                 TieredWindowStore *store = nullptr)
+        : decode_(rack.config().controller.compressed), store_(store),
           libVersion_(vlib.version)
     {
     }
 
-    /** Pin the rack's current epoch (single-library callers). */
+    /** Pin the rack's current epoch; no model (layer probes and
+     *  single-library tools). */
     explicit WindowPlayer(const Rack &rack)
         : WindowPlayer(rack, rack.currentLibrary())
     {
     }
 
     /** False for uncompressed baseline racks: playback streams raw
-     *  samples and never touches payloads or the cache. */
+     *  samples and never touches payloads or the model. */
     bool decodes() const { return decode_; }
 
     /**
@@ -93,27 +90,25 @@ class WindowPlayer
                      std::uint32_t count, PlaybackCounters &c);
 
     /**
-     * Warm one window of a channel into the rack store (the PREFETCH
-     * op's body). `tier` is the compiler's placement hint: 0 targets
-     * the fast tier (promoting an already-staged tier-1 entry), 1
-     * stages into the slow tier. Returns the pinning Handle for a
-     * cold prefetch that decoded and inserted, or a null Handle when
-     * nothing was decoded: cache disabled, key already resident or
-     * in flight (a tier-0 hint still promotes it), or a flat bypass
-     * window (which never occupies a cache slot).
+     * Place one window of a channel in the model ahead of demand (the
+     * PREFETCH op's body). `tier` is the compiler's placement hint: 0
+     * targets the fast tier (promoting an already-staged tier-1
+     * entry), 1 stages into the slow tier. Returns true for a cold
+     * prefetch the model placed; false when there is no model, the
+     * key is already resident (a tier-0 hint still promotes it), or
+     * the window is a flat bypass window (never held).
      */
-    DecodedWindowCache::Handle
-    prefetchWindow(const waveform::GateId &id,
-                   const core::CompressedEntry &entry, std::uint8_t ch,
-                   std::uint32_t window, std::uint8_t tier = 0);
+    bool prefetchWindow(const waveform::GateId &id,
+                        const core::CompressedEntry &entry,
+                        std::uint8_t ch, std::uint32_t window,
+                        std::uint8_t tier = 0);
 
-    /** The cache-key library version this player plays under. */
+    /** The model-key library version this player plays under. */
     std::uint64_t libVersion() const { return libVersion_; }
 
   private:
-    const Rack &rack_;
     bool decode_;
-    bool cached_;
+    TieredWindowStore *store_;
     std::uint64_t libVersion_ = 0;
     core::Decompressor dec_;
     std::vector<double> scratch_;

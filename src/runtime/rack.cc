@@ -132,8 +132,7 @@ Rack::Rack(const waveform::DeviceModel &dev,
            std::shared_ptr<LibraryRegistry> registry,
            const RackConfig &cfg)
     : cfg_(cfg), registry_(std::move(registry)),
-      plan_(makeShardPlan(dev, cfg.numShards, cfg.policy)),
-      cache_(cfg.storeConfig())
+      plan_(makeShardPlan(dev, cfg.numShards, cfg.policy))
 {
     if (!registry_)
         throw std::invalid_argument(
@@ -149,6 +148,32 @@ Rack::Rack(const waveform::DeviceModel &dev,
     controllers_.reserve(static_cast<std::size_t>(plan_.numShards));
     for (int s = 0; s < plan_.numShards; ++s)
         controllers_.emplace_back(cfg_.controller);
+    if (cfg_.cacheWindows + cfg_.tier1Windows > 0)
+        for (int s = 0; s < plan_.numShards; ++s)
+            stores_.push_back(
+                std::make_unique<ShardStore>(storeConfig(s)));
+}
+
+TieredStoreConfig
+Rack::storeConfig(int shard) const
+{
+    const auto n = static_cast<std::size_t>(plan_.numShards);
+    const auto s = static_cast<std::size_t>(shard);
+    const auto slice = [&](std::size_t total) {
+        return total / n + (s < total % n ? 1 : 0);
+    };
+    return {slice(cfg_.cacheWindows), slice(cfg_.tier1Windows),
+            cfg_.admission};
+}
+
+ShardStore *
+Rack::store(int shard) const
+{
+    COMPAQT_REQUIRE(shard >= 0 && shard < plan_.numShards,
+                    "shard index out of range");
+    return stores_.empty()
+               ? nullptr
+               : stores_[static_cast<std::size_t>(shard)].get();
 }
 
 void

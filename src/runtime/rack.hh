@@ -6,13 +6,15 @@
  * behind a shared scheduler (Khammassi et al., arXiv:2205.06851;
  * Hornibrook et al., arXiv:1409.2202). The rack owns the qubit->shard
  * plan, the per-shard controllers bound to one shared compressed
- * library, and the fleet-wide decoded-window cache.
+ * library, and one waveform-memory model per shard (each shard plays
+ * only the gates it owns, so each key lives in exactly one model).
  */
 
 #ifndef COMPAQT_RUNTIME_RACK_HH
 #define COMPAQT_RUNTIME_RACK_HH
 
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/compressed_library.hh"
@@ -64,40 +66,32 @@ struct RackConfig
     ShardPolicy policy = ShardPolicy::LocalityAware;
     /** Per-shard controller configuration (every RFSoC identical). */
     uarch::ControllerConfig controller;
-    /** Fast-tier (BRAM) decoded-window capacity in windows;
-     *  0 = uncached. */
+    /** Fast-tier (BRAM) window capacity of the rack's waveform-memory
+     *  model, split evenly across the shards; 0 = no model. */
     std::size_t cacheWindows = 4096;
-    /** Fast-tier sample budget; 0 = bounded by cacheWindows alone
-     *  (see TierConfig::sampleBudget). */
-    std::size_t cacheSampleBudget = 0;
-    /** Slow-tier window capacity; 0 = single-tier store (the
-     *  pre-hierarchy default). */
+    /** Slow-tier window capacity, split the same way; 0 = single-tier
+     *  model. */
     std::size_t tier1Windows = 0;
-    /** Slow-tier sample budget; 0 = bounded by tier1Windows alone. */
-    std::size_t tier1SampleBudget = 0;
     /** Fast-tier admission policy. */
     AdmissionPolicy admission = AdmissionPolicy::AdmitAlways;
-    /** Modeled cycles per slow-tier access, charged into
-     *  RackStats::cache.penaltyCycles. */
-    std::uint64_t tier1PenaltyCycles = 8;
+};
 
-    /** The decoded-window store shape these knobs describe. */
-    TieredStoreConfig
-    storeConfig() const
-    {
-        return {{cacheWindows, cacheSampleBudget},
-                {tier1Windows, tier1SampleBudget},
-                admission,
-                tier1PenaltyCycles,
-                0};
-    }
+/** One shard's waveform-memory model and the lock its column task
+ *  holds for a whole batch column. */
+struct ShardStore
+{
+    explicit ShardStore(const TieredStoreConfig &cfg) : model(cfg) {}
+
+    std::mutex mu;
+    TieredWindowStore model;
 };
 
 /**
  * The sharded fleet: N identical controllers over one epoch-managed
- * compressed library, plus the shared decoded-window cache. Immutable
- * after construction except for the cache and the library registry
- * (hot-swap), so shards can execute concurrently.
+ * compressed library, plus one waveform-memory model per shard.
+ * Immutable after construction except for the models (each guarded
+ * by its shard's lock) and the library registry (hot-swap), so
+ * shards can execute concurrently.
  *
  * Library ownership is epoch-managed: the rack holds a
  * LibraryRegistry (possibly shared with other racks of a fleet) and
@@ -184,8 +178,14 @@ class Rack
      *  to execute()). */
     const uarch::Controller &controller(int shard) const;
 
-    /** The fleet-shared decoded-window cache. */
-    DecodedWindowCache &cache() const { return cache_; }
+    /** Shard `shard`'s slice of the rack's model: cacheWindows and
+     *  tier1Windows split evenly, the remainder going to the lowest
+     *  shards, so the slices sum to the rack totals. */
+    TieredStoreConfig storeConfig(int shard) const;
+
+    /** Shard `shard`'s waveform-memory model; null when the rack
+     *  models no memory (cacheWindows + tier1Windows == 0). */
+    ShardStore *store(int shard) const;
 
     /** Fleet capacity: sum of per-shard concurrent-qubit capacity. */
     std::size_t maxConcurrentQubits() const;
@@ -195,7 +195,7 @@ class Rack
     std::shared_ptr<LibraryRegistry> registry_;
     ShardPlan plan_;
     std::vector<uarch::Controller> controllers_;
-    mutable DecodedWindowCache cache_;
+    std::vector<std::unique_ptr<ShardStore>> stores_;
 };
 
 } // namespace compaqt::runtime

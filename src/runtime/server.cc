@@ -506,6 +506,8 @@ Server::dispatchLoop(Lane &lane)
         std::vector<std::string> errors(taken.size());
         std::vector<std::uint64_t> versions(taken.size(), 0);
         bool batch_ok = true;
+        // Whether exec.total.cache holds a model snapshot to fold in.
+        bool cache_seen = true;
         try {
             exec = run(scheds);
             for (auto &v : versions)
@@ -521,11 +523,13 @@ Server::dispatchLoop(Lane &lane)
             // path costs nothing unless an execution actually threw.
             exec.total = RackStats{};
             exec.jobs.assign(taken.size(), RackStats{});
+            cache_seen = false;
             for (std::size_t i = 0; i < taken.size(); ++i) {
                 try {
                     auto single = run({scheds[i]});
                     exec.jobs[i] = std::move(single.jobs[0]);
-                    exec.total.cache.accumulate(single.total.cache);
+                    exec.total.cache.advance(single.total.cache);
+                    cache_seen = true;
                     versions[i] = single.libraryVersion;
                 } catch (const std::exception &e) {
                     errors[i] = e.what();
@@ -566,7 +570,8 @@ Server::dispatchLoop(Lane &lane)
             lane.batchJobs += taken.size();
             metrics.batches.add();
             metrics.queuedNow.set(static_cast<double>(queued_));
-            cacheAccum_.accumulate(exec.total.cache);
+            if (cache_seen)
+                lane.cache.advance(exec.total.cache);
             for (const JobResult &r : results) {
                 auto &tenant = tenants_[r.tenant];
                 if (r.status == JobStatus::Completed) {
@@ -634,8 +639,6 @@ Server::stats() const
         s.queuedNow = queued_;
         s.gatesPlayed = gates_;
         s.samplesDecoded = samples_;
-        s.cache = cacheAccum_;
-        s.cacheHitRate = cacheAccum_.hitRate();
         s.jobsByLibraryVersion = jobsByVersion_;
         s.racks.reserve(lanes_.size());
         std::uint64_t batches = 0, batch_jobs = 0;
@@ -653,9 +656,11 @@ Server::stats() const
             r.gatesPlayed = lane->gates;
             r.samplesDecoded = lane->samples;
             s.racks.push_back(r);
+            s.cache.accumulate(lane->cache);
             batches += lane->batches;
             batch_jobs += lane->batchJobs;
         }
+        s.cacheHitRate = s.cache.hitRate();
         s.batchesDispatched = batches;
         s.meanBatchFill =
             batches == 0 ? 0.0

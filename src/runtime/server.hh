@@ -268,9 +268,10 @@ struct ServerStats
     Percentiles queueLatency;
     Percentiles executeLatency;
     Percentiles totalLatency;
-    /** Decoded-window cache deltas summed over dispatched batches
-     *  (each rack's mixed-tenant traffic shares that rack's cache). */
-    DecodedCacheStats cache;
+    /** Waveform-memory model counters summed over dispatched batches
+     *  and racks; residency (entries, residentSamples) is the sum of
+     *  every rack's latest snapshot. */
+    TieredStoreStats cache;
     double cacheHitRate = 0.0;
     /** Per-rack slices, indexed like the fleet. */
     std::vector<RackRollup> racks;
@@ -428,6 +429,9 @@ class Server
         std::uint64_t batchJobs = 0;
         std::uint64_t gates = 0;
         std::uint64_t samples = 0;
+        /** Model counters over this rack's batches, residency as of
+         *  its latest batch. */
+        TieredStoreStats cache;
         /** fleet.rack.<index>.jobs process-wide counter. */
         telemetry::Counter *jobsCounter = nullptr;
         std::thread dispatcher;
@@ -481,7 +485,6 @@ class Server
     telemetry::LatencyHistogram queueLat_;
     telemetry::LatencyHistogram execLat_;
     telemetry::LatencyHistogram totalLat_;
-    DecodedCacheStats cacheAccum_;
     std::map<std::uint64_t, std::uint64_t> jobsByVersion_;
     std::map<std::string, TenantAccum> tenants_;
 };

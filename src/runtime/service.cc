@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <mutex>
 
 #include "common/logging.hh"
 #include "isa/interpreter.hh"
@@ -26,13 +27,13 @@ struct CellResult
 
 /**
  * Play one shard's slice of one circuit: stats-only demand accounting
- * on the shard's controller plus window-by-window decode of every
- * gate pulse through the rack cache (the direct, schedule-walking
- * back end).
+ * on the shard's controller plus a decode of every window of every
+ * gate pulse, recorded in the shard's model (the direct,
+ * schedule-walking back end).
  */
 CellResult
 playShard(const Rack &rack, const VersionedLibrary &vlib, int shard,
-          const circuits::Schedule &part)
+          const circuits::Schedule &part, TieredWindowStore *store)
 {
     COMPAQT_TRACE_SPAN("shard", "shard.play", "shard",
                        static_cast<std::uint64_t>(shard), "events",
@@ -40,7 +41,7 @@ playShard(const Rack &rack, const VersionedLibrary &vlib, int shard,
     CellResult cell;
     cell.demand = rack.controller(shard).execute(part, *vlib);
 
-    WindowPlayer player(rack, vlib);
+    WindowPlayer player(rack, vlib, store);
     for (const auto &e : part.events) {
         const auto id = uarch::gateIdFor(e.gate);
         if (!id)
@@ -51,7 +52,7 @@ playShard(const Rack &rack, const VersionedLibrary &vlib, int shard,
         ++cell.play.gates;
         // Baseline (uncompressed) controllers stream raw samples with
         // no decompression pipeline, so playback touches neither the
-        // compressed payload nor the cache.
+        // compressed payload nor the model.
         if (!player.decodes()) {
             cell.play.samples += entry->cw.stats().originalSamples;
             continue;
@@ -78,6 +79,7 @@ playShard(const Rack &rack, const VersionedLibrary &vlib, int shard,
 CellResult
 playShardCompiled(const Rack &rack, const VersionedLibrary &vlib,
                   int shard, const circuits::Schedule &part,
+                  TieredWindowStore *store,
                   const isa::Compiler &compiler,
                   isa::ProgramCache &cache, std::uint64_t cfgHash)
 {
@@ -100,7 +102,7 @@ playShardCompiled(const Rack &rack, const VersionedLibrary &vlib,
                            static_cast<std::uint64_t>(shard));
         prog = cache.put(key, compiler.compileShard(part));
     }
-    isa::Interpreter interp(rack, vlib);
+    isa::Interpreter interp(rack, vlib, store);
     const isa::InterpreterResult run = interp.run(*prog);
     cell.play = run.play;
     cell.prefetchesIssued = run.stats.prefetchesIssued;
@@ -200,9 +202,12 @@ finalizeFleet(RackStats &stats)
 
 /**
  * The shared batch skeleton both back ends run: partition every
- * schedule, execute the (circuit, shard) grid concurrently through
- * `cellFn`, and reduce serially in a fixed order so no rolled-up
- * number depends on worker interleaving.
+ * schedule, then run each shard's column of the (circuit, shard) grid
+ * as one executor task through `cellFn`, circuits in batch order.
+ * The task owns its shard's model for the whole column (one lock per
+ * column, none per window), so the model's counters depend only on
+ * the batch, never on worker interleaving. Results reduce serially in
+ * a fixed order.
  */
 template <typename CellFn>
 BatchExecution
@@ -229,18 +234,30 @@ runGrid(const Rack &rack, const VersionedLibrary &vlib,
         unowned[c] = batch[c].events.size() - kept;
     }
 
-    const auto cache_before = rack.cache().stats();
     std::vector<CellResult> cells(n_cells);
+    std::vector<TieredStoreStats> columnCache(
+        static_cast<std::size_t>(n_shards));
     const auto t0 = std::chrono::steady_clock::now();
-    exec.forEach(n_cells, [&](std::size_t i) {
-        const std::size_t c = i / static_cast<std::size_t>(n_shards);
-        const int s = static_cast<int>(
-            i % static_cast<std::size_t>(n_shards));
-        cells[i] =
-            cellFn(s, parts[c][static_cast<std::size_t>(s)]);
+    exec.forEach(static_cast<std::size_t>(n_shards), [&](std::size_t s) {
+        ShardStore *store = rack.store(static_cast<int>(s));
+        std::unique_lock<std::mutex> lock;
+        TieredWindowStore *model = nullptr;
+        TieredStoreStats before;
+        if (store) {
+            lock = std::unique_lock(store->mu);
+            model = &store->model;
+            before = model->stats();
+        }
+        for (std::size_t c = 0; c < batch.size(); ++c)
+            cells[c * static_cast<std::size_t>(n_shards) + s] =
+                cellFn(static_cast<int>(s), parts[c][s], model);
+        if (model) {
+            columnCache[s] =
+                TieredStoreStats::delta(before, model->stats());
+            model->publishMetrics();
+        }
     });
     const auto t1 = std::chrono::steady_clock::now();
-    const auto cache_after = rack.cache().stats();
 
     // Serial, fixed-order reduction: shard-level peaks are maxima
     // over the batch, totals are sums — independent of how workers
@@ -270,8 +287,8 @@ runGrid(const Rack &rack, const VersionedLibrary &vlib,
     }
     finalizeFleet(stats);
 
-    stats.cache =
-        DecodedCacheStats::delta(cache_before, cache_after);
+    for (const auto &column : columnCache)
+        stats.cache.accumulate(column);
     stats.cacheHitRate = stats.cache.hitRate();
 
     stats.wallSeconds =
@@ -324,8 +341,9 @@ RuntimeService::executeBatchPerJob(
     const VersionedLibrary vlib = rack_.currentLibrary();
     return runGrid(
         rack_, vlib, exec_, batch,
-        [this, &vlib](int s, const circuits::Schedule &part) {
-            return playShard(rack_, vlib, s, part);
+        [this, &vlib](int s, const circuits::Schedule &part,
+                      TieredWindowStore *store) {
+            return playShard(rack_, vlib, s, part, store);
         });
 }
 
@@ -363,9 +381,10 @@ RuntimeService::executeBatchCompiledPerJob(
     return runGrid(
         rack_, vlib, exec_, batch,
         [this, &vlib, &compiler,
-         cfg_hash](int s, const circuits::Schedule &part) {
-            return playShardCompiled(rack_, vlib, s, part, compiler,
-                                     progCache_, cfg_hash);
+         cfg_hash](int s, const circuits::Schedule &part,
+                   TieredWindowStore *store) {
+            return playShardCompiled(rack_, vlib, s, part, store,
+                                     compiler, progCache_, cfg_hash);
         });
 }
 

@@ -4,13 +4,13 @@
  * circuits, split every schedule across the fleet by qubit ownership,
  * execute the (circuit, shard) grid concurrently on a worker pool,
  * and roll the per-shard ExecutionStats up into one RackStats record
- * (fleet demand, cache behavior, wall-clock throughput).
+ * (fleet demand, waveform-memory model counters, wall-clock
+ * throughput).
  *
- * Playback is modelled as decoding every scheduled gate's I/Q
- * channels window-by-window through the rack's DecodedWindowCache —
- * the workload that makes the cache load-bearing: the first play of a
- * gate pays the IDCT, every later play on any shard replays decoded
- * windows.
+ * Playback decodes every window of every scheduled gate's I/Q
+ * channels, the way a COMPAQT controller IDCT-decodes its compressed
+ * waveforms on the fly, and records each access in the shard's
+ * waveform-memory model (hit rates, tier penalties, SRAM power).
  */
 
 #ifndef COMPAQT_RUNTIME_SERVICE_HH
@@ -36,16 +36,16 @@ struct ShardStats
     uarch::ExecutionStats demand;
     /** Physical gate pulses played on this shard. */
     std::uint64_t gatesPlayed = 0;
-    /** Compressed windows decoded (through the cache). */
+    /** Compressed windows decoded. */
     std::uint64_t windowsDecoded = 0;
     /** Samples reconstructed for the shard's DACs. */
     std::uint64_t samplesDecoded = 0;
     /** Of samplesDecoded, samples served by the adaptive IDCT
-     *  bypass as constant fills (never decoded, never cached). */
+     *  bypass as constant fills (never decoded, never modeled). */
     std::uint64_t samplesBypassed = 0;
     /** PREFETCH ops that warmed a cold window (instruction-stream
      *  back end only; zero on the direct path). Excluded from the
-     *  two back ends' bit-identity contract, like the cache
+     *  two back ends' bit-identity contract, like the model
      *  counters. */
     std::uint64_t prefetchesIssued = 0;
 };
@@ -76,11 +76,12 @@ struct RackStats
      *  path; excluded from back-end bit-identity). */
     std::uint64_t prefetchesIssued = 0;
 
-    /** Cache counters over this batch — deltas of the rack-global
-     *  cache counters, so they attribute cleanly only while a single
-     *  service drives the rack; concurrent services on one Rack fold
-     *  each other's hits/misses into their deltas. */
-    DecodedCacheStats cache;
+    /** Waveform-memory model counters over this batch: the sum of
+     *  each shard's column delta, with residency summed over the
+     *  shards' models after the batch. Each column runs under its
+     *  shard's lock in batch order, so the counters are identical at
+     *  any worker count. */
+    TieredStoreStats cache;
     double cacheHitRate = 0.0;
 
     // Wall-clock throughput of the batch execution.
@@ -123,7 +124,7 @@ struct BatchExecution
      * Per-schedule rollups: jobs[j] covers only batch[j]'s cells of
      * the execution grid. Every field is a pure function of
      * (rack, batch[j]) — independent of batch composition, submission
-     * interleaving, and worker count — except the cache counters and
+     * interleaving, and worker count — except the model counters and
      * wall-clock throughput, which attribute only to the whole batch
      * and stay zero here.
      */
@@ -131,10 +132,11 @@ struct BatchExecution
 };
 
 /**
- * Executes batches of scheduled circuits on one Rack. The per-shard
- * demand numbers in RackStats are bit-identical across worker counts:
- * every (circuit, shard) cell is a pure function of its schedule
- * slice, computed independently and reduced in a fixed order.
+ * Executes batches of scheduled circuits on one Rack. RackStats is
+ * bit-identical across worker counts, wall-clock rates aside: every
+ * (circuit, shard) cell is a pure function of its schedule slice,
+ * each shard's column runs in batch order against that shard's own
+ * model, and results reduce in a fixed order.
  */
 class RuntimeService
 {
@@ -159,10 +161,10 @@ class RuntimeService
      * Execute through the instruction-stream back end: each cell is
      * lowered to a per-shard PLAY/WAIT/PREFETCH program by
      * isa::Compiler and driven by isa::Interpreter against the same
-     * cache. Every deterministic RackStats field (per-shard demand
-     * and playback tallies, fleet rollups, missingGates,
+     * models. Every playback and demand field of RackStats (per-shard
+     * demand and playback tallies, fleet rollups, missingGates,
      * unownedEvents, feasible) is bit-identical to executeBatch() at
-     * any worker count; the cache counters, wall-clock rates, and
+     * any worker count; the model counters, wall-clock rates, and
      * prefetchesIssued differ by design — prefetching is the point.
      * @throws std::invalid_argument when a shard's mandatory stream
      *         exceeds cfg.instructionMemoryWords

@@ -1,6 +1,8 @@
 #include "runtime/tiered_store.hh"
 
 #include <algorithm>
+#include <bit>
+#include <string>
 
 #include "common/logging.hh"
 #include "telemetry/metrics.hh"
@@ -12,76 +14,51 @@ namespace compaqt::runtime
 namespace
 {
 
-/** Windows carved per slab: large enough to amortize the allocation,
- *  small enough that a tiny store does not over-reserve. */
-constexpr std::size_t kWindowsPerSlab = 64;
-
-/** Registry counters of the tier plane, looked up once (the hot path
- *  pays one relaxed striped add per event). Always-on, like every
- *  registry metric: symmetric across the tracing on/off legs of the
- *  telemetry overhead gate. */
-struct StoreMetrics
-{
-    telemetry::Counter *hit[2];
-    telemetry::Counter *miss[2];
-    telemetry::Counter *promote[2];
-    telemetry::Counter *demote[2];
-    telemetry::Counter *admitRejected[2];
-
-    static StoreMetrics &
-    instance()
-    {
-        static auto &reg = telemetry::Registry::global();
-        static StoreMetrics m{
-            {&reg.counter("cache.tier0.hit"),
-             &reg.counter("cache.tier1.hit")},
-            {&reg.counter("cache.tier0.miss"),
-             &reg.counter("cache.tier1.miss")},
-            {&reg.counter("cache.tier0.promote"),
-             &reg.counter("cache.tier1.promote")},
-            {&reg.counter("cache.tier0.demote"),
-             &reg.counter("cache.tier1.demote")},
-            {&reg.counter("cache.tier0.admit_rejected"),
-             &reg.counter("cache.tier1.admit_rejected")},
-        };
-        return m;
-    }
-};
-
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
-}
-
-/** 64-bit hash of a window key (sketch probes derive from it). */
+/** 64-bit hash of a window key: three independent multiplies, then
+ *  a fold so the low bits (index slot) see the high product bits. */
 std::uint64_t
 hashKey(const DecodedWindowKey &k)
 {
-    const std::uint64_t gate =
-        static_cast<std::uint64_t>(
-            static_cast<std::uint32_t>(k.gate.type))
-            << 48 |
-        static_cast<std::uint64_t>(
-            static_cast<std::uint32_t>(k.gate.q0) & 0xFFFFFFu)
-            << 24 |
-        (static_cast<std::uint32_t>(k.gate.q1) & 0xFFFFFFu);
-    const std::uint64_t win =
-        static_cast<std::uint64_t>(k.channel) << 32 | k.window;
-    return mix64(mix64(gate) ^ win ^ mix64(k.libVersion));
+    const auto q = [](int v) {
+        return static_cast<std::uint64_t>(static_cast<std::uint32_t>(v) &
+                                          0xFFFFFFu);
+    };
+    const std::uint64_t gate = static_cast<std::uint64_t>(k.gate.type)
+                                   << 56 |
+                               q(k.gate.q0) << 32 | q(k.gate.q1) << 8 |
+                               k.channel;
+    const std::uint64_t h = gate * 0x9E3779B97F4A7C15ull ^
+                            k.window * 0xC2B2AE3D27D4EB4Full ^
+                            k.libVersion * 0x165667B19E3779F9ull;
+    return h ^ h >> 29;
 }
 
-std::size_t
-nextPow2(std::size_t v)
+/** Apply `op` to every counter of `s` paired with `o`'s (residency
+ *  fields excluded). */
+template <typename Op>
+void
+foldCounters(TieredStoreStats &s, const TieredStoreStats &o, Op op)
 {
-    std::size_t p = 1;
-    while (p < v)
-        p <<= 1;
-    return p;
+    op(s.hits, o.hits);
+    op(s.misses, o.misses);
+    op(s.evictions, o.evictions);
+    op(s.prefetches, o.prefetches);
+    op(s.prefetchHits, o.prefetchHits);
+    op(s.prefetchWasted, o.prefetchWasted);
+    op(s.promotions, o.promotions);
+    op(s.demotions, o.demotions);
+    op(s.tier1Accesses, o.tier1Accesses);
+    op(s.penaltyCycles, o.penaltyCycles);
+    for (std::size_t t = 0; t < s.tier.size(); ++t) {
+        op(s.tier[t].hits, o.tier[t].hits);
+        op(s.tier[t].misses, o.tier[t].misses);
+        op(s.tier[t].evictions, o.tier[t].evictions);
+        op(s.tier[t].admitted, o.tier[t].admitted);
+        op(s.tier[t].admitRejected, o.tier[t].admitRejected);
+    }
 }
+
+constexpr auto kAdd = [](std::uint64_t &a, std::uint64_t b) { a += b; };
 
 } // namespace
 
@@ -91,8 +68,6 @@ admissionPolicyName(AdmissionPolicy p)
     switch (p) {
       case AdmissionPolicy::AdmitAlways:
         return "admit-always";
-      case AdmissionPolicy::SecondTouch:
-        return "admit-second-touch";
       case AdmissionPolicy::TinyLfu:
         return "tinylfu";
     }
@@ -102,728 +77,450 @@ admissionPolicyName(AdmissionPolicy p)
 void
 TieredStoreStats::accumulate(const TieredStoreStats &o)
 {
-    hits += o.hits;
-    misses += o.misses;
-    evictions += o.evictions;
-    prefetches += o.prefetches;
-    prefetchHits += o.prefetchHits;
-    prefetchWasted += o.prefetchWasted;
-    duplicateDecodesAvoided += o.duplicateDecodesAvoided;
-    promotions += o.promotions;
-    demotions += o.demotions;
-    tier1Accesses += o.tier1Accesses;
-    penaltyCycles += o.penaltyCycles;
-    if (o.entries != 0)
-        entries = o.entries;
-    if (o.residentSamples != 0)
-        residentSamples = o.residentSamples;
-    if (o.slotsAllocated != 0)
-        slotsAllocated = o.slotsAllocated;
+    foldCounters(*this, o, kAdd);
+    entries += o.entries;
+    residentSamples += o.residentSamples;
     for (std::size_t t = 0; t < tier.size(); ++t) {
-        tier[t].hits += o.tier[t].hits;
-        tier[t].misses += o.tier[t].misses;
-        tier[t].evictions += o.tier[t].evictions;
-        tier[t].admitted += o.tier[t].admitted;
-        tier[t].admitRejected += o.tier[t].admitRejected;
-        if (o.tier[t].entries != 0)
-            tier[t].entries = o.tier[t].entries;
-        if (o.tier[t].residentSamples != 0)
-            tier[t].residentSamples = o.tier[t].residentSamples;
+        tier[t].entries += o.tier[t].entries;
+        tier[t].residentSamples += o.tier[t].residentSamples;
     }
+}
+
+void
+TieredStoreStats::advance(const TieredStoreStats &o)
+{
+    TieredStoreStats next = o;
+    foldCounters(next, *this, kAdd);
+    *this = next;
 }
 
 TieredStoreStats
 TieredStoreStats::delta(const TieredStoreStats &before,
                         const TieredStoreStats &after)
 {
-    TieredStoreStats d;
-    d.hits = after.hits - before.hits;
-    d.misses = after.misses - before.misses;
-    d.evictions = after.evictions - before.evictions;
-    d.prefetches = after.prefetches - before.prefetches;
-    d.prefetchHits = after.prefetchHits - before.prefetchHits;
-    d.prefetchWasted = after.prefetchWasted - before.prefetchWasted;
-    d.duplicateDecodesAvoided = after.duplicateDecodesAvoided -
-                                before.duplicateDecodesAvoided;
-    d.promotions = after.promotions - before.promotions;
-    d.demotions = after.demotions - before.demotions;
-    d.tier1Accesses = after.tier1Accesses - before.tier1Accesses;
-    d.penaltyCycles = after.penaltyCycles - before.penaltyCycles;
-    d.entries = after.entries;
-    d.residentSamples = after.residentSamples;
-    d.slotsAllocated = after.slotsAllocated;
-    for (std::size_t t = 0; t < d.tier.size(); ++t) {
-        d.tier[t].hits = after.tier[t].hits - before.tier[t].hits;
-        d.tier[t].misses =
-            after.tier[t].misses - before.tier[t].misses;
-        d.tier[t].evictions =
-            after.tier[t].evictions - before.tier[t].evictions;
-        d.tier[t].admitted =
-            after.tier[t].admitted - before.tier[t].admitted;
-        d.tier[t].admitRejected = after.tier[t].admitRejected -
-                                  before.tier[t].admitRejected;
-        d.tier[t].entries = after.tier[t].entries;
-        d.tier[t].residentSamples = after.tier[t].residentSamples;
-    }
+    TieredStoreStats d = after;
+    foldCounters(d, before,
+                 [](std::uint64_t &a, std::uint64_t b) { a -= b; });
     return d;
-}
-
-void
-TieredWindowStore::FrequencySketch::reset(std::size_t entries)
-{
-    // Four probes per key into a table ~4x the tracked population
-    // keeps estimates usable at 4-bit saturation; the aging window
-    // (halve all counters) is ~8 table sizes of adds.
-    const std::size_t size = std::min<std::size_t>(
-        nextPow2(std::max<std::size_t>(64, entries * 4)),
-        std::size_t{1} << 20);
-    counters_.assign(size, 0);
-    mask_ = size - 1;
-    adds_ = 0;
-    sampleWindow_ = static_cast<std::uint64_t>(size) * 8;
-}
-
-void
-TieredWindowStore::FrequencySketch::add(std::uint64_t hash)
-{
-    if (counters_.empty())
-        return;
-    const std::uint64_t step = hash >> 32 | 1;
-    for (int i = 0; i < 4; ++i) {
-        std::uint8_t &c =
-            counters_[(hash + static_cast<std::uint64_t>(i) * step) &
-                      mask_];
-        if (c < 15)
-            ++c;
-    }
-    if (++adds_ >= sampleWindow_) {
-        for (auto &c : counters_)
-            c = static_cast<std::uint8_t>(c >> 1);
-        adds_ >>= 1;
-    }
-}
-
-std::uint32_t
-TieredWindowStore::FrequencySketch::estimate(std::uint64_t hash) const
-{
-    if (counters_.empty())
-        return 0;
-    const std::uint64_t step = hash >> 32 | 1;
-    std::uint32_t best = 15;
-    for (int i = 0; i < 4; ++i)
-        best = std::min<std::uint32_t>(
-            best,
-            counters_[(hash + static_cast<std::uint64_t>(i) * step) &
-                      mask_]);
-    return best;
 }
 
 TieredWindowStore::TieredWindowStore(const TieredStoreConfig &cfg)
     : cfg_(cfg)
 {
-    if (cfg_.admission == AdmissionPolicy::SecondTouch) {
-        ghostCapacity_ =
-            cfg_.ghostWindows != 0
-                ? cfg_.ghostWindows
-                : std::clamp<std::size_t>(cfg_.tier0.windows * 4, 64,
-                                          std::size_t{1} << 18);
-        ghostRing_.assign(ghostCapacity_, 0);
-        const std::size_t table = nextPow2(ghostCapacity_ * 2);
-        ghostTable_.assign(table, 0);
-        ghostTableMask_ = table - 1;
-    }
-    if (cfg_.admission == AdmissionPolicy::TinyLfu)
-        sketch_.reset(std::max<std::size_t>(cfg_.tier0.windows, 1));
-}
-
-TieredWindowStore::Handle
-TieredWindowStore::probeOrLatch(const DecodedWindowKey &key,
-                                bool &leader)
-{
-    std::unique_lock<std::mutex> lock(mu_);
-    bool counted = false;
-    if (enabled() && cfg_.admission == AdmissionPolicy::TinyLfu)
-        sketch_.add(hashKey(key));
-    for (;;) {
-        if (enabled()) {
-            const auto it = index_.find(key);
-            if (it != index_.end())
-                return hitLocked(key, it, counted);
-        }
-        if (!counted) {
-            countMissLocked(key);
-            counted = true;
-        }
-        if (!enabled()) {
-            leader = true;
-            return {};
-        }
-        auto [fit, inserted] = inflight_.try_emplace(key);
-        if (inserted) {
-            fit->second = std::make_shared<Inflight>();
-            leader = true;
-            return {};
-        }
-        // Another worker is decoding this key: wait on its latch and
-        // re-probe instead of duplicating the transform. The entry
-        // is usually resident after the wake; when the leader's
-        // decode threw (or its entry was already evicted) the loop
-        // makes this caller the new leader.
-        const auto latch = fit->second;
-        latch->cv.wait(lock, [&] { return latch->done; });
-    }
-}
-
-TieredWindowStore::Handle
-TieredWindowStore::hitLocked(const DecodedWindowKey &key,
-                             Index::iterator it, bool after_wait)
-{
-    const auto lit = it->second;
-    const std::size_t tier = lit->tier;
-    if (after_wait) {
-        ++stats_.duplicateDecodesAvoided;
-    } else {
-        ++stats_.hits;
-        ++stats_.tier[tier].hits;
-        StoreMetrics::instance().hit[tier]->add();
-        if (tier == 1) {
-            // Tier 0 probed first and could not serve.
-            ++stats_.tier[0].misses;
-            StoreMetrics::instance().miss[0]->add();
-        }
-    }
-    if (tier == 1) {
-        chargeTier1Locked();
-        if (lit->touched && cfg_.tier0.windows > 0) {
-            promoteLocked(lit);
-        } else {
-            // First tier-1 touch: mark reuse, promote on the next.
-            lit->touched = true;
-            lru_[1].splice(lru_[1].begin(), lru_[1], lit);
-        }
-    } else {
-        lru_[0].splice(lru_[0].begin(), lru_[0], lit);
-    }
-    Slot *slot = lit->slot;
-    if (slot->prefetched) {
-        // First demand touch of a prefetched window: the prefetch
-        // paid off.
-        slot->prefetched = false;
-        ++stats_.prefetchHits;
-        COMPAQT_TRACE_INSTANT("cache", "cache.prefetch_claimed",
-                              "window", key.window, "channel",
-                              key.channel);
-    }
-    slot->refs.fetch_add(1, std::memory_order_relaxed);
-    // Hits are the per-window hot path: unsampled they dominate both
-    // the trace and its overhead budget (observed >5x the cost of
-    // every other event combined), so the trace carries 1-in-64 of
-    // them as activity markers. Exact hit rates come from
-    // stats().hits, which counts every hit.
-    if (auto &trace = telemetry::Trace::global(); trace.enabled()) {
-        thread_local std::uint32_t hit_tick = 0;
-        if ((hit_tick++ & 63u) == 0)
-            trace.instant("cache", "cache.hit", "window", key.window,
-                          "channel", key.channel);
-    }
-    return Handle(this, slot);
-}
-
-void
-TieredWindowStore::countMissLocked(const DecodedWindowKey &key)
-{
-    ++stats_.misses;
-    auto &metrics = StoreMetrics::instance();
-    if (cfg_.tier0.windows > 0) {
-        ++stats_.tier[0].misses;
-        metrics.miss[0]->add();
-    }
-    if (cfg_.tier1.windows > 0) {
-        ++stats_.tier[1].misses;
-        metrics.miss[1]->add();
-    }
-    COMPAQT_TRACE_INSTANT("cache", "cache.miss", "window", key.window,
-                          "channel", key.channel);
-}
-
-TieredWindowStore::Handle
-TieredWindowStore::lookup(const DecodedWindowKey &key)
-{
-    std::lock_guard lock(mu_);
-    if (enabled()) {
-        if (cfg_.admission == AdmissionPolicy::TinyLfu)
-            sketch_.add(hashKey(key));
-        const auto it = index_.find(key);
-        if (it != index_.end())
-            return hitLocked(key, it, /*after_wait=*/false);
-    }
-    countMissLocked(key);
-    return {};
-}
-
-bool
-TieredWindowStore::touchResident(const DecodedWindowKey &key,
-                                 std::uint8_t target_tier)
-{
-    std::lock_guard lock(mu_);
-    const auto it = index_.find(key);
-    if (it == index_.end())
-        return inflight_.contains(key);
-    const auto lit = it->second;
-    if (lit->tier == 1) {
-        if (target_tier == 0 && cfg_.tier0.windows > 0) {
-            // The compiler saw a short reuse distance: pull the
-            // staged window into the fast tier ahead of its PLAY.
-            chargeTier1Locked();
-            promoteLocked(lit);
-        } else {
-            lru_[1].splice(lru_[1].begin(), lru_[1], lit);
-        }
-    } else {
-        lru_[0].splice(lru_[0].begin(), lru_[0], lit);
-    }
-    return true;
-}
-
-TieredWindowStore::Slot *
-TieredWindowStore::acquireSlot(std::size_t window_size)
-{
-    COMPAQT_REQUIRE(window_size > 0,
-                    "decoded-window slot needs a positive size");
-    // Slab allocation happens outside the lock (the same rule decode
-    // work follows): carve under the lock, and when the bucket is
-    // dry, release the lock, allocate, re-lock, and install — a slab
-    // another thread installed meanwhile just gets used first and
-    // ours joins the bucket's region list.
-    std::unique_ptr<double[]> fresh;
-    std::size_t fresh_windows = 0;
-    for (;;) {
-        {
-            std::lock_guard lock(mu_);
-            Bucket &bucket = buckets_[window_size];
-            if (!bucket.freeSlots.empty()) {
-                Slot *slot = bucket.freeSlots.back();
-                bucket.freeSlots.pop_back();
-                slot->pooled = false;
-                slot->detached = true;
-                slot->size = 0;
-                slot->prefetched = false;
-                // The in-flight decode holds a reference from here
-                // on, so a stale releaseSlot (one that decremented
-                // to zero before an evictor pooled this slot) can
-                // never re-pool it under the new owner.
-                slot->refs.store(1, std::memory_order_relaxed);
-                return slot;
-            }
-            if (fresh) {
-                bucket.regions.emplace_back(
-                    fresh.get(),
-                    fresh.get() + fresh_windows * window_size);
-                slabs_.push_back(std::move(fresh));
-            }
-            while (!bucket.regions.empty()) {
-                auto &region = bucket.regions.back();
-                if (region.first == region.second) {
-                    bucket.regions.pop_back();
-                    continue;
-                }
-                Slot &slot = slots_.emplace_back();
-                slot.data = region.first;
-                region.first += window_size;
-                slot.bucket = window_size;
-                slot.refs.store(1, std::memory_order_relaxed);
-                ++stats_.slotsAllocated;
-                return &slot;
-            }
-            // Grow: a small first slab (buckets holding a single
-            // whole-waveform window stay small), kWindowsPerSlab
-            // afterwards, never far past the configured capacity.
-            fresh_windows = std::min(
-                bucket.nextSlabWindows,
-                std::max<std::size_t>(capacity(), 1) + 1);
-            bucket.nextSlabWindows = kWindowsPerSlab;
-        }
-        fresh =
-            std::make_unique<double[]>(fresh_windows * window_size);
-    }
-}
-
-std::uint8_t
-TieredWindowStore::admissionTierLocked(const DecodedWindowKey &key)
-{
-    if (cfg_.tier0.windows == 0)
-        return 1; // tier-1-only store
-    std::uint8_t denied_to = kBypassTier;
-    switch (cfg_.admission) {
-      case AdmissionPolicy::AdmitAlways:
-        return 0;
-      case AdmissionPolicy::SecondTouch:
-        if (ghostEraseLocked(key))
-            return 0; // reuse proven while the ghost remembered it
-        recordGhostLocked(key);
-        denied_to = cfg_.tier1.windows > 0 ? 1 : kBypassTier;
-        break;
-      case AdmissionPolicy::TinyLfu: {
-        const TierConfig &t0 = cfg_.tier0;
-        const bool full =
-            lru_[0].size() >= t0.windows ||
-            (t0.sampleBudget > 0 &&
-             residentSamples_[0] >= t0.sampleBudget);
-        if (!full || lru_[0].empty())
-            return 0;
-        // Challenge the LRU victim: the candidate displaces it only
-        // when the sketch says it is touched more often.
-        if (sketch_.estimate(hashKey(key)) >
-            sketch_.estimate(hashKey(lru_[0].back().key)))
-            return 0;
-        denied_to = cfg_.tier1.windows > 0 ? 1 : kBypassTier;
-        break;
-      }
-    }
-    ++stats_.tier[0].admitRejected;
-    StoreMetrics::instance().admitRejected[0]->add();
-    return denied_to;
-}
-
-TieredWindowStore::Handle
-TieredWindowStore::insert(const DecodedWindowKey &key, Slot *slot,
-                          bool prefetched, std::uint8_t target_tier)
-{
-    // The slot arrives holding one reference (taken in acquireSlot),
-    // which becomes the returned Handle's reference.
-    if (!enabled()) {
-        // Disabled store: hand the decoded slot straight back; the
-        // final Handle release recycles it into the pool.
-        return Handle(this, slot);
-    }
-    std::lock_guard lock(mu_);
-    const auto it = index_.find(key);
-    if (it != index_.end()) {
-        // Lost a decode race; keep the resident entry, pool ours.
-        const auto lit = it->second;
-        lru_[lit->tier].splice(lru_[lit->tier].begin(),
-                               lru_[lit->tier], lit);
-        Slot *resident = lit->slot;
-        resident->refs.fetch_add(1, std::memory_order_relaxed);
-        slot->refs.store(0, std::memory_order_relaxed);
-        recycleLocked(slot);
-        resolveLatchLocked(key);
-        return Handle(this, resident);
-    }
-    std::uint8_t tier;
-    if (prefetched) {
-        tier = target_tier;
-        // A hint for a disabled tier falls back to the enabled one.
-        if (tier == 1 && cfg_.tier1.windows == 0)
-            tier = 0;
-        if (tier == 0 && cfg_.tier0.windows == 0)
-            tier = 1;
-    } else {
-        tier = admissionTierLocked(key);
-    }
-    if (tier == kBypassTier) {
-        // Admitted nowhere: serve the decode straight to the caller
-        // (its slot recycles on final release), cache nothing.
-        resolveLatchLocked(key);
-        return Handle(this, slot);
-    }
-    slot->detached = false;
-    if (prefetched) {
-        slot->prefetched = true;
-        ++stats_.prefetches;
-    }
-    LruList &list = lru_[tier];
-    if (!spares_.empty()) {
-        spares_.front() = Entry{key, slot, tier, false};
-        list.splice(list.begin(), spares_, spares_.begin());
-    } else {
-        list.push_front(Entry{key, slot, tier, false});
-    }
-    if (!spareNodes_.empty()) {
-        auto nh = std::move(spareNodes_.back());
-        spareNodes_.pop_back();
-        nh.key() = key;
-        nh.mapped() = list.begin();
-        index_.insert(std::move(nh));
-    } else {
-        index_.emplace(key, list.begin());
-    }
-    residentSamples_[tier] += slot->bucket;
-    ++stats_.tier[tier].admitted;
-    if (tier == 1)
-        chargeTier1Locked();
-    evictTierLocked(tier);
-    resolveLatchLocked(key);
-    return Handle(this, slot);
-}
-
-TieredWindowStore::Handle
-TieredWindowStore::put(const DecodedWindowKey &key,
-                       ConstSampleSpan samples,
-                       std::size_t window_size)
-{
-    COMPAQT_REQUIRE(samples.size() <= window_size,
-                    "decoded window larger than its slot");
-    Slot *slot = acquireSlot(window_size);
-    std::copy(samples.begin(), samples.end(), slot->data);
-    slot->size = samples.size();
-    return insert(key, slot);
-}
-
-void
-TieredWindowStore::promoteLocked(LruList::iterator lit)
-{
-    Entry &e = *lit;
-    residentSamples_[1] -= e.slot->bucket;
-    residentSamples_[0] += e.slot->bucket;
-    lru_[0].splice(lru_[0].begin(), lru_[1], lit);
-    e.tier = 0;
-    e.touched = false;
-    ++stats_.promotions;
-    auto &metrics = StoreMetrics::instance();
-    metrics.promote[0]->add();
-    metrics.promote[1]->add();
-    COMPAQT_TRACE_INSTANT("cache", "store.promote", "window",
-                          e.key.window, "channel", e.key.channel);
-    evictTierLocked(0);
-}
-
-void
-TieredWindowStore::evictTierLocked(std::size_t tier)
-{
-    const TierConfig &tc = tier == 0 ? cfg_.tier0 : cfg_.tier1;
-    // The sample budget never evicts the just-touched MRU entry: one
-    // oversized window may exceed the whole budget on its own and
-    // must still be servable while resident.
-    while (lru_[tier].size() > tc.windows ||
-           (tc.sampleBudget > 0 &&
-            residentSamples_[tier] > tc.sampleBudget &&
-            lru_[tier].size() > 1)) {
-        const auto lit = std::prev(lru_[tier].end());
-        if (tier == 0 && cfg_.tier1.windows > 0)
-            demoteLocked(lit);
-        else
-            dropLocked(tier, lit);
-    }
-}
-
-void
-TieredWindowStore::demoteLocked(LruList::iterator lit)
-{
-    Entry &e = *lit;
-    residentSamples_[0] -= e.slot->bucket;
-    residentSamples_[1] += e.slot->bucket;
-    lru_[1].splice(lru_[1].begin(), lru_[0], lit);
-    e.tier = 1;
-    // A demoted window already proved reuse in tier 0; its next
-    // tier-1 hit promotes it straight back.
-    e.touched = true;
-    ++stats_.demotions;
-    chargeTier1Locked();
-    auto &metrics = StoreMetrics::instance();
-    metrics.demote[0]->add();
-    metrics.demote[1]->add();
-    COMPAQT_TRACE_INSTANT("cache", "store.demote", "window",
-                          e.key.window, "channel", e.key.channel);
-    evictTierLocked(1);
-}
-
-void
-TieredWindowStore::dropLocked(std::size_t tier, LruList::iterator lit)
-{
-    Entry &e = *lit;
-    COMPAQT_TRACE_INSTANT("cache", "cache.evict", "window",
-                          e.key.window, "channel", e.key.channel);
-    spareNodes_.push_back(index_.extract(e.key));
-    residentSamples_[tier] -= e.slot->bucket;
-    detachLocked(e.slot);
-    // A dropped key that comes back soon has proven reuse; let the
-    // ghost remember it so SecondTouch re-admits it to tier 0.
-    recordGhostLocked(e.key);
-    spares_.splice(spares_.begin(), lru_[tier], lit);
-    ++stats_.evictions;
-    ++stats_.tier[tier].evictions;
-}
-
-void
-TieredWindowStore::recordGhostLocked(const DecodedWindowKey &key)
-{
-    if (ghostCapacity_ == 0)
+    if (capacity() == 0)
         return;
-    std::uint64_t h = hashKey(key);
-    if (h == 0)
-        h = 1; // 0 is the empty-slot sentinel
-    if (!ghostTableInsert(h))
-        return; // already remembered
-    // Overwrite the oldest ring slot, retiring its hash.
-    if (ghostRing_[ghostHead_] != 0)
-        ghostTableErase(ghostRing_[ghostHead_]);
-    ghostRing_[ghostHead_] = h;
-    ghostHead_ = (ghostHead_ + 1) % ghostCapacity_;
-}
-
-bool
-TieredWindowStore::ghostEraseLocked(const DecodedWindowKey &key)
-{
-    if (ghostCapacity_ == 0)
-        return false;
-    std::uint64_t h = hashKey(key);
-    if (h == 0)
-        h = 1;
-    // The ring slot keeps the stale hash; its eventual overwrite
-    // erases an absent key, which ghostTableErase tolerates.
-    return ghostTableErase(h);
-}
-
-bool
-TieredWindowStore::ghostTableInsert(std::uint64_t h)
-{
-    std::uint64_t i = h & ghostTableMask_;
-    while (ghostTable_[i] != 0) {
-        if (ghostTable_[i] == h)
-            return false;
-        i = (i + 1) & ghostTableMask_;
+    COMPAQT_REQUIRE(capacity() < kNil / 4,
+                    "waveform-memory model capacity too large");
+    // Every entry starts on the free list, in index order.
+    const auto n = static_cast<std::uint32_t>(capacity() + 1);
+    entries_.resize(n);
+    for (std::uint32_t e = 0; e < n; ++e) {
+        entries_[e].prev = e == 0 ? kNil : e - 1;
+        entries_[e].next = e + 1 == n ? kNil : e + 1;
     }
-    ghostTable_[i] = h;
-    return true;
+    lists_[kFree] = {0, n - 1, n, 0};
+    index_.assign(std::bit_ceil(entries_.size() * 2), 0);
+    // ~4 counters per tracked tier-0 window keeps estimates usable at
+    // 4-bit saturation.
+    if (cfg_.admission == AdmissionPolicy::TinyLfu)
+        sketch_.assign(std::min<std::size_t>(
+                           std::bit_ceil(std::max<std::size_t>(
+                               64, cfg_.tier0Windows * 4)),
+                           std::size_t{1} << 20),
+                       0);
 }
 
-bool
-TieredWindowStore::ghostTableErase(std::uint64_t h)
+void
+TieredWindowStore::sketchAdd(const DecodedWindowKey &key)
 {
-    std::uint64_t i = h & ghostTableMask_;
-    while (ghostTable_[i] != h) {
-        if (ghostTable_[i] == 0)
-            return false;
-        i = (i + 1) & ghostTableMask_;
+    if (sketch_.empty())
+        return;
+    const std::uint64_t h = hashKey(key);
+    for (std::uint64_t i = 0; i < 4; ++i) {
+        std::uint8_t &c = sketch_[(h + i * (h >> 32 | 1)) &
+                                  (sketch_.size() - 1)];
+        c = static_cast<std::uint8_t>(std::min(c + 1, 15));
     }
-    // Backshift deletion: walk the probe chain and pull back any
-    // entry whose ideal slot lies outside (i, j], keeping every
-    // remaining chain unbroken without tombstones.
-    ghostTable_[i] = 0;
-    std::uint64_t j = i;
-    for (;;) {
-        j = (j + 1) & ghostTableMask_;
-        const std::uint64_t v = ghostTable_[j];
-        if (v == 0)
-            return true;
-        const std::uint64_t ideal = v & ghostTableMask_;
-        const bool movable =
-            i <= j ? ideal <= i || ideal > j
-                   : ideal <= i && ideal > j;
-        if (movable) {
-            ghostTable_[i] = v;
-            ghostTable_[j] = 0;
+    if (++sketchAdds_ >= sketch_.size() * 8) {
+        for (auto &c : sketch_)
+            c = static_cast<std::uint8_t>(c >> 1);
+        sketchAdds_ >>= 1;
+    }
+}
+
+std::uint32_t
+TieredWindowStore::sketchEstimate(const DecodedWindowKey &key) const
+{
+    const std::uint64_t h = hashKey(key);
+    std::uint32_t best = 15;
+    for (std::uint64_t i = 0; i < 4; ++i)
+        best = std::min<std::uint32_t>(
+            best,
+            sketch_[(h + i * (h >> 32 | 1)) & (sketch_.size() - 1)]);
+    return best;
+}
+
+std::uint32_t
+TieredWindowStore::find(const DecodedWindowKey &key) const
+{
+    if (index_.empty())
+        return kNil;
+    const std::uint64_t h = hashKey(key) >> 32;
+    const std::uint64_t mask = index_.size() - 1;
+    for (std::uint64_t i = h & mask; index_[i] != 0; i = (i + 1) & mask) {
+        const auto e = static_cast<std::uint32_t>(index_[i] - 1);
+        if (index_[i] >> 32 == h && entries_[e].key == key)
+            return e;
+    }
+    return kNil;
+}
+
+void
+TieredWindowStore::indexErase(std::uint32_t e)
+{
+    const std::uint64_t mask = index_.size() - 1;
+    std::uint64_t i = (hashKey(entries_[e].key) >> 32) & mask;
+    while (static_cast<std::uint32_t>(index_[i] - 1) != e)
+        i = (i + 1) & mask;
+    // Backshift deletion: pull back every later member of the probe
+    // chain whose ideal slot lies outside (i, j], so no chain breaks.
+    index_[i] = 0;
+    for (std::uint64_t j = (i + 1) & mask; index_[j] != 0;
+         j = (j + 1) & mask) {
+        const std::uint64_t ideal = (index_[j] >> 32) & mask;
+        if (i <= j ? ideal <= i || ideal > j : ideal <= i && ideal > j) {
+            index_[i] = index_[j];
+            index_[j] = 0;
             i = j;
         }
     }
 }
 
 void
-TieredWindowStore::resolveLatchLocked(const DecodedWindowKey &key)
+TieredWindowStore::moveTo(std::uint32_t e, std::uint8_t list)
 {
-    const auto it = inflight_.find(key);
-    if (it == inflight_.end())
-        return;
-    it->second->done = true;
-    it->second->cv.notify_all();
-    inflight_.erase(it);
+    breakRun(e);
+    Entry &en = entries_[e];
+    List &from = lists_[en.list];
+    (en.prev != kNil ? entries_[en.prev].next : from.head) = en.next;
+    (en.next != kNil ? entries_[en.next].prev : from.tail) = en.prev;
+    --from.size;
+    from.samples -= en.samples;
+    List &to = lists_[list];
+    en.list = list;
+    en.prev = kNil;
+    en.next = to.head;
+    (to.head != kNil ? entries_[to.head].prev : to.tail) = e;
+    to.head = e;
+    ++to.size;
+    to.samples += en.samples;
 }
 
 void
-TieredWindowStore::abortFill(const DecodedWindowKey &key)
+TieredWindowStore::runToHead(std::uint32_t first, std::uint32_t last)
 {
-    if (!enabled())
+    List &l = lists_[0];
+    if (l.head == first)
         return;
-    std::lock_guard lock(mu_);
-    resolveLatchLocked(key);
+    const std::uint32_t before = entries_[first].prev;
+    const std::uint32_t after = entries_[last].next;
+    entries_[before].next = after;
+    (after != kNil ? entries_[after].prev : l.tail) = before;
+    entries_[first].prev = kNil;
+    entries_[last].next = l.head;
+    entries_[l.head].prev = last;
+    l.head = first;
 }
 
 void
-TieredWindowStore::chargeTier1Locked()
+TieredWindowStore::breakRun(std::uint32_t e)
+{
+    if (entries_[e].run != kNil) {
+        entries_[entries_[e].run].runLen = 0;
+        entries_[e].run = kNil;
+    }
+}
+
+std::uint32_t
+TieredWindowStore::access(const DecodedWindowKey &first,
+                          std::size_t window_size,
+                          std::uint32_t count)
+{
+    const bool lfu = cfg_.admission == AdmissionPolicy::TinyLfu;
+    const std::uint32_t end = first.window + count;
+    std::uint32_t hits = 0;
+    for (DecodedWindowKey key = first; key.window < end;) {
+        if (lfu)
+            sketchAdd(key);
+        const std::uint32_t e = find(key);
+        if (e == kNil) {
+            miss(key, window_size);
+            ++key.window;
+            continue;
+        }
+        std::uint32_t n = 1;
+        if (entries_[e].list == 1) {
+            hitTier1(e);
+        } else {
+            // Usually the first window of a range played before: a
+            // recorded run moves as one block, the order per-window
+            // moves would leave.
+            n = entries_[e].runLen;
+            if (n == 0 || n > end - key.window || lfu)
+                n = recordRun(e, key, end, lfu);
+            runToHead(entries_[e].runHead, e);
+            stats_.hits += n;
+            stats_.tier[0].hits += n;
+        }
+        hits += n;
+        key.window += n;
+    }
+    return hits;
+}
+
+std::uint32_t
+TieredWindowStore::recordRun(std::uint32_t first, DecodedWindowKey key,
+                             std::uint32_t end, bool lfu)
+{
+    // Windows played in this order before sit just ahead of `first`:
+    // follow them while they hold the next windows.
+    std::uint32_t head = first;
+    std::uint32_t n = 0;
+    for (;;) {
+        if (lfu && n > 0)
+            sketchAdd(entries_[head].key);
+        claim(head);
+        breakRun(head);
+        entries_[head].run = first;
+        ++n;
+        ++key.window;
+        const std::uint32_t p = entries_[head].prev;
+        if (key.window == end || p == kNil || entries_[p].key != key)
+            break;
+        head = p;
+    }
+    entries_[first].runHead = head;
+    entries_[first].runLen = n;
+    return n;
+}
+
+void
+TieredWindowStore::claim(std::uint32_t e)
+{
+    Entry &en = entries_[e];
+    if (!en.prefetched)
+        return;
+    // First demand touch of a prefetched window: it paid off.
+    en.prefetched = false;
+    ++stats_.prefetchHits;
+    COMPAQT_TRACE_INSTANT("cache", "cache.prefetch_claimed", "window",
+                          en.key.window, "channel", en.key.channel);
+}
+
+void
+TieredWindowStore::hitTier1(std::uint32_t e)
+{
+    ++stats_.hits;
+    ++stats_.tier[1].hits;
+    ++stats_.tier[0].misses; // tier 0 was probed first
+    claim(e);
+    chargeTier1();
+    if (entries_[e].touched && cfg_.tier0Windows > 0) {
+        promote(e);
+    } else {
+        // First tier-1 touch: mark reuse, promote on the next.
+        entries_[e].touched = true;
+        moveTo(e, 1);
+    }
+}
+
+void
+TieredWindowStore::miss(const DecodedWindowKey &key,
+                        std::size_t window_size)
+{
+    ++stats_.misses;
+    for (std::size_t t = 0; t < 2; ++t)
+        if (tierWindows(t) > 0)
+            ++stats_.tier[t].misses;
+    COMPAQT_TRACE_INSTANT("cache", "cache.miss", "window", key.window,
+                          "channel", key.channel);
+    if (capacity() == 0)
+        return;
+    if (const std::uint8_t tier = admissionTier(key); tier != kBypass)
+        insert(key, window_size, tier, /*prefetched=*/false);
+}
+
+std::uint8_t
+TieredWindowStore::admissionTier(const DecodedWindowKey &key)
+{
+    if (cfg_.tier0Windows == 0)
+        return 1; // tier-1-only model
+    if (cfg_.admission == AdmissionPolicy::AdmitAlways ||
+        lists_[0].size < cfg_.tier0Windows ||
+        // Challenge the LRU victim: the candidate displaces it only
+        // when the sketch says it is touched more often.
+        sketchEstimate(key) > sketchEstimate(entries_[lists_[0].tail].key))
+        return 0;
+    ++stats_.tier[0].admitRejected;
+    return cfg_.tier1Windows > 0 ? 1 : kBypass;
+}
+
+void
+TieredWindowStore::insert(const DecodedWindowKey &key,
+                          std::size_t window_size, std::uint8_t tier,
+                          bool prefetched)
+{
+    // The free list is never empty here: capacity() + 1 entries, and
+    // every tier is back within budget after each fill.
+    const std::uint32_t e = lists_[kFree].head;
+    Entry &en = entries_[e];
+    lists_[kFree].samples -= en.samples;
+    en.samples = static_cast<std::uint32_t>(window_size);
+    lists_[kFree].samples += en.samples;
+    en.key = key;
+    en.touched = false;
+    en.prefetched = prefetched;
+    moveTo(e, tier);
+    const std::uint64_t h = hashKey(key) >> 32;
+    const std::uint64_t mask = index_.size() - 1;
+    std::uint64_t i = h & mask;
+    while (index_[i] != 0)
+        i = (i + 1) & mask;
+    index_[i] = h << 32 | (e + 1);
+    if (prefetched)
+        ++stats_.prefetches;
+    ++stats_.tier[tier].admitted;
+    if (tier == 1)
+        chargeTier1();
+    evictTier(tier);
+}
+
+bool
+TieredWindowStore::prefetch(const DecodedWindowKey &key,
+                            std::size_t window_size,
+                            std::uint8_t target_tier)
+{
+    if (capacity() == 0)
+        return false;
+    if (const std::uint32_t e = find(key); e != kNil) {
+        if (entries_[e].list == 1 && target_tier == 0 &&
+            cfg_.tier0Windows > 0) {
+            // The compiler saw a short reuse distance: pull the
+            // staged window into the fast tier ahead of its PLAY.
+            chargeTier1();
+            promote(e);
+        } else {
+            moveTo(e, entries_[e].list);
+        }
+        return false;
+    }
+    std::uint8_t tier = target_tier == 0 ? 0 : 1;
+    if (tierWindows(tier) == 0)
+        tier ^= 1;
+    insert(key, window_size, tier, /*prefetched=*/true);
+    return true;
+}
+
+void
+TieredWindowStore::promote(std::uint32_t e)
+{
+    moveTo(e, 0);
+    entries_[e].touched = false;
+    ++stats_.promotions;
+    COMPAQT_TRACE_INSTANT("cache", "store.promote", "window",
+                          entries_[e].key.window, "channel",
+                          entries_[e].key.channel);
+    evictTier(0);
+}
+
+void
+TieredWindowStore::demote(std::uint32_t e)
+{
+    moveTo(e, 1);
+    // A demoted window already proved reuse in tier 0; its next
+    // tier-1 hit promotes it straight back.
+    entries_[e].touched = true;
+    ++stats_.demotions;
+    chargeTier1();
+    COMPAQT_TRACE_INSTANT("cache", "store.demote", "window",
+                          entries_[e].key.window, "channel",
+                          entries_[e].key.channel);
+    evictTier(1);
+}
+
+void
+TieredWindowStore::evictTier(std::uint8_t tier)
+{
+    while (lists_[tier].size > tierWindows(tier)) {
+        const std::uint32_t victim = lists_[tier].tail;
+        if (tier == 0 && cfg_.tier1Windows > 0)
+            demote(victim);
+        else
+            drop(victim);
+    }
+}
+
+void
+TieredWindowStore::drop(std::uint32_t e)
+{
+    Entry &en = entries_[e];
+    COMPAQT_TRACE_INSTANT("cache", "cache.evict", "window",
+                          en.key.window, "channel", en.key.channel);
+    ++stats_.evictions;
+    ++stats_.tier[en.list].evictions;
+    if (en.prefetched) {
+        ++stats_.prefetchWasted; // evicted before any demand claim
+        COMPAQT_TRACE_INSTANT("cache", "cache.prefetch_wasted",
+                              "window", en.key.window, "channel",
+                              en.key.channel);
+    }
+    indexErase(e);
+    moveTo(e, kFree);
+}
+
+void
+TieredWindowStore::chargeTier1()
 {
     ++stats_.tier1Accesses;
-    stats_.penaltyCycles += cfg_.tier1PenaltyCycles;
+    stats_.penaltyCycles += kTier1PenaltyCycles;
 }
 
 void
-TieredWindowStore::detachLocked(Slot *slot)
+TieredWindowStore::publishMetrics()
 {
-    if (slot->prefetched) {
-        // Evicted (or cleared) before any demand get() claimed it:
-        // the prefetch was wasted work.
-        slot->prefetched = false;
-        ++stats_.prefetchWasted;
-        COMPAQT_TRACE_INSTANT("cache", "cache.prefetch_wasted",
-                              "slot_bytes",
-                              slot->bucket * sizeof(double));
+    // [tier][hit, miss, promote, demote, admit_rejected]
+    static const auto counters = [] {
+        std::array<std::array<telemetry::Counter *, 5>, 2> c{};
+        const char *names[] = {"hit", "miss", "promote", "demote",
+                               "admit_rejected"};
+        for (std::size_t t = 0; t < 2; ++t)
+            for (std::size_t k = 0; k < 5; ++k)
+                c[t][k] = &telemetry::Registry::global().counter(
+                    "cache.tier" + std::to_string(t) + "." + names[k]);
+        return c;
+    }();
+    const TieredStoreStats d = TieredStoreStats::delta(published_, stats_);
+    for (std::size_t t = 0; t < 2; ++t) {
+        const std::uint64_t v[] = {d.tier[t].hits, d.tier[t].misses,
+                                   d.promotions, d.demotions,
+                                   d.tier[t].admitRejected};
+        for (std::size_t k = 0; k < 5; ++k)
+            counters[t][k]->add(v[k]);
     }
-    slot->detached = true;
-    if (slot->refs.load(std::memory_order_acquire) == 0)
-        recycleLocked(slot);
-}
-
-void
-TieredWindowStore::recycleLocked(Slot *slot)
-{
-    slot->pooled = true;
-    buckets_[slot->bucket].freeSlots.push_back(slot);
-}
-
-void
-TieredWindowStore::releaseSlot(Slot *slot)
-{
-    if (slot->refs.fetch_sub(1, std::memory_order_acq_rel) != 1)
-        return;
-    // Dropped the last reference: if the slot was evicted (or never
-    // inserted) it is ours to pool. A re-check under the lock guards
-    // the race with an evictor that pooled it between our decrement
-    // and here.
-    std::lock_guard lock(mu_);
-    if (slot->detached && !slot->pooled &&
-        slot->refs.load(std::memory_order_relaxed) == 0)
-        recycleLocked(slot);
-}
-
-void
-TieredWindowStore::Handle::release()
-{
-    if (!slot_)
-        return;
-    store_->releaseSlot(slot_);
-    store_ = nullptr;
-    slot_ = nullptr;
+    published_ = stats_;
 }
 
 TieredStoreStats
 TieredWindowStore::stats() const
 {
-    std::lock_guard lock(mu_);
     TieredStoreStats s = stats_;
-    s.entries = lru_[0].size() + lru_[1].size();
-    s.residentSamples = residentSamples_[0] + residentSamples_[1];
     for (std::size_t t = 0; t < 2; ++t) {
-        s.tier[t].entries = lru_[t].size();
-        s.tier[t].residentSamples = residentSamples_[t];
+        s.tier[t].entries = lists_[t].size;
+        s.tier[t].residentSamples = lists_[t].samples;
+        s.entries += lists_[t].size;
+        s.residentSamples += lists_[t].samples;
     }
     return s;
-}
-
-void
-TieredWindowStore::clear()
-{
-    std::lock_guard lock(mu_);
-    for (auto &list : lru_) {
-        for (auto &entry : list) {
-            spareNodes_.push_back(index_.extract(entry.key));
-            detachLocked(entry.slot);
-        }
-        spares_.splice(spares_.begin(), list);
-    }
-    residentSamples_ = {0, 0};
-    std::fill(ghostRing_.begin(), ghostRing_.end(), 0);
-    std::fill(ghostTable_.begin(), ghostTable_.end(), 0);
-    ghostHead_ = 0;
 }
 
 } // namespace compaqt::runtime

@@ -1,67 +1,33 @@
 /**
  * @file
- * The rack-shared decoded-window store: a two-tier cache over
- * (gate, channel, window)-keyed decode results that sits between
- * core::Decompressor and the per-shard playback loops, so a hot gate
- * pulse is expanded once per rack instead of once per play. Real
- * control stacks hit the same few waveforms millions of times per
- * second (every syndrome round replays the same CX/measure pulses),
- * which makes this the rack's highest-leverage cache.
+ * The waveform-memory model: a tags-only, two-tier model of the
+ * decoded-window memory next to one shard's DACs. It holds no
+ * samples — playback decodes every window on the fly, as a COMPAQT
+ * controller does — and only records what a memory of the configured
+ * shape would have held, so hit rates, tier penalties and SRAM power
+ * (power::hierarchicalPower) can be priced.
  *
- * Tier 0 models the small fast BRAM next to the DACs: a tight sample
- * budget whose hits are free. Tier 1 models the large slow tier
- * behind it (DDR / far SRAM, in the spirit of cascaded random-access
- * quantum memories, arXiv:2503.13953): a bigger budget whose every
- * access — hit, fill, or demotion — charges `tier1PenaltyCycles`
- * into the store's counters. Both tiers index into ONE slab pool, so
- * promotion (tier 1 hit with proven reuse) and demotion (tier 0
- * pressure) are O(1) list splices that never copy or re-decode a
- * sample; the tiers differ only in budget and modeled cost, which is
- * what keeps playback bit-identical to the single-tier store. With
- * `tier1.windows == 0` the store degenerates to exactly the old
- * single-level LRU `DecodedWindowCache`, counter for counter.
+ * Tier 0 models the small fast BRAM next to the DACs: its hits are
+ * free. Tier 1 models a large slow tier behind it (in the spirit of
+ * cascaded random-access quantum memories, arXiv:2503.13953): every
+ * access to it (hit, fill or demotion) charges kTier1PenaltyCycles.
+ * A tier-1 hit with proven reuse promotes to tier 0; tier-0 pressure
+ * demotes the LRU victim into tier 1. Admission to tier 0 is plain
+ * LRU or TinyLFU (a frequency sketch challenges the LRU victim, so a
+ * burst of cold windows cannot flush the hot set).
  *
- * Admission is pluggable per rack: `AdmitAlways` is plain LRU,
- * `SecondTouch` admits to tier 0 only keys a bounded ghost list has
- * seen before (one-shot scans stage in tier 1 or bypass entirely),
- * and `TinyLfu` challenges the tier-0 LRU victim with a count-min
- * frequency sketch so a burst of cold windows cannot flush the hot
- * set.
- *
- * Storage is pooled: decoded samples live in fixed-size slots carved
- * from slabs the store allocates once per window size and never
- * frees, handed out to readers as ConstSampleSpan views through a
- * ref-counted Handle. A hit therefore touches no allocator at all,
- * and a miss after warm-up recycles a slot (plus LRU/index nodes)
- * from free lists — the steady state of a warm rack allocates
- * nothing.
- *
- * Thread-safe: lookups and insertions take an internal mutex; decode
- * work for a miss runs outside the lock, so concurrent workers never
- * serialize on the transform. Cold keys are single-flight: the first
- * get() to miss registers an in-flight latch and decodes; later
- * get()s on the same key wait on the latch instead of duplicating
- * the transform (counted by `duplicateDecodesAvoided`). A slot
- * evicted mid-use stays pinned by its Handle's reference and is
- * recycled only when the last reader releases it.
+ * Not thread-safe: each shard of a Rack owns one model, guarded by
+ * the shard's lock, which its column task holds for a whole batch
+ * column.
  */
 
 #ifndef COMPAQT_RUNTIME_TIERED_STORE_HH
 #define COMPAQT_RUNTIME_TIERED_STORE_HH
 
 #include <array>
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <list>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <utility>
 #include <vector>
 
-#include "common/arena.hh"
 #include "waveform/library.hh"
 
 namespace compaqt::runtime
@@ -77,101 +43,71 @@ struct DecodedWindowKey
     std::uint32_t window = 0;
     /** Library version the window was decoded from (0 on racks that
      *  never swap). Hot-swap invalidation works through this field:
-     *  after a publish, old-version keys are simply never looked up
-     *  again, so stale windows age out by normal eviction — no global
-     *  flush, no bit-exactness risk. */
+     *  old-version keys are never accessed again and age out. */
     std::uint64_t libVersion = 0;
 
     auto operator<=>(const DecodedWindowKey &) const = default;
 };
 
-/** Which windows the store lets into the fast tier. */
+/** Which windows the model lets into the fast tier. */
 enum class AdmissionPolicy
 {
-    /** Every fill lands in tier 0 (plain LRU — the single-tier
-     *  store's behavior). */
+    /** Every fill lands in tier 0 (plain LRU). */
     AdmitAlways,
-    /** First touch stages in tier 1 (or bypasses, when tier 1 is
-     *  absent) and records the key in a bounded ghost list; a second
-     *  touch while the ghost remembers it proves reuse and admits
-     *  tier 0. */
-    SecondTouch,
-    /** TinyLFU-style: a count-min frequency sketch over demand
-     *  probes; when tier 0 is full, a candidate enters only if its
-     *  estimated frequency beats the tier-0 LRU victim's. */
+    /** When tier 0 is full, a candidate enters only if its estimated
+     *  access frequency beats the tier-0 LRU victim's; rejected
+     *  candidates stage in tier 1, or are not held at all. */
     TinyLfu,
 };
 
-/** Printable policy name, e.g. "admit-second-touch". */
+/** Printable policy name, e.g. "tinylfu". */
 const char *admissionPolicyName(AdmissionPolicy p);
 
-/** Per-tier slice of the store's counters. */
+/** Modeled cycles charged per tier-1 access (hit or write). */
+inline constexpr std::uint64_t kTier1PenaltyCycles = 8;
+
+/** Per-tier slice of the model's counters. */
 struct TierCounters
 {
-    /** Demand probes served by this tier. */
+    /** Demand accesses served by this tier. */
     std::uint64_t hits = 0;
-    /** Demand probes this tier could not serve (for tier 0 that
-     *  includes probes tier 1 then served). */
+    /** Demand accesses this tier could not serve (for tier 0 that
+     *  includes accesses tier 1 then served). */
     std::uint64_t misses = 0;
-    /** Windows dropped from the store out of this tier (demotions
-     *  are not drops and count in `demotions` instead). */
+    /** Windows dropped out of this tier (demotions not included). */
     std::uint64_t evictions = 0;
     /** Fills placed directly into this tier. */
     std::uint64_t admitted = 0;
     /** Fills the admission policy kept out of this tier. */
     std::uint64_t admitRejected = 0;
-    /** Windows currently resident in this tier. */
+    /** Windows resident in this tier. */
     std::size_t entries = 0;
-    /** Slot capacity resident in this tier, in samples — the modeled
-     *  BRAM footprint (slots are counted at bucket capacity, the
-     *  space a short tail window still occupies). */
+    /** Resident windows' size in samples: the modeled BRAM. */
     std::size_t residentSamples = 0;
 };
 
-/**
- * Counter snapshot of store behavior. The aggregate fields keep the
- * single-level cache's names and meanings (a tier-1 hit is still a
- * hit; only a full drop is an eviction), so rollups that predate the
- * hierarchy read unchanged.
- */
+/** Counter snapshot of a model, or a sum over models. */
 struct TieredStoreStats
 {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
-    /**
-     * Prefetch-aware counters (filled by the instruction-stream
-     * backend's PREFETCH path): `prefetches` counts cold prefetches
-     * that decoded and inserted a window; a prefetch finding its key
-     * resident is a no-op and counts nothing. `prefetchHits` counts
-     * prefetched windows later claimed by a demand get() — each
-     * prefetched window at most once, so prefetchHits/prefetches is
-     * the fraction of prefetch work that paid off. `prefetchWasted`
-     * counts prefetched windows evicted (or cleared) before any
-     * demand touched them. Windows prefetched but still resident and
-     * unclaimed sit in none of the latter two until they resolve.
-     */
+    /** PREFETCH placements of cold windows; of those, the ones a
+     *  demand access later claimed (each once) and the ones evicted
+     *  unclaimed. A prefetch is never a demand hit or miss. */
     std::uint64_t prefetches = 0;
     std::uint64_t prefetchHits = 0;
     std::uint64_t prefetchWasted = 0;
-    /** Windows currently resident (both tiers). */
+    /** Windows resident in both tiers, and their size in samples. */
     std::size_t entries = 0;
-    /** Sample slots ever carved from slabs (pool footprint). */
-    std::size_t slotsAllocated = 0;
-    /** Resident slot capacity in samples, both tiers. */
     std::size_t residentSamples = 0;
-    /** Decodes avoided by waiting on another worker's in-flight
-     *  decode of the same cold key (single-flight). */
-    std::uint64_t duplicateDecodesAvoided = 0;
     /** Windows moved tier 1 -> tier 0 (proven reuse). */
     std::uint64_t promotions = 0;
     /** Windows moved tier 0 -> tier 1 under tier-0 pressure. */
     std::uint64_t demotions = 0;
-    /** Slow-tier touches: tier-1 demand hits plus every write into
-     *  tier 1 (fills and demotions). */
+    /** Tier-1 demand hits plus every write into tier 1, and the
+     *  modeled stall cycles they cost. */
     std::uint64_t tier1Accesses = 0;
-    /** Modeled stall cycles those accesses cost
-     *  (tier1Accesses x tier1PenaltyCycles). */
     std::uint64_t penaltyCycles = 0;
     std::array<TierCounters, 2> tier{};
 
@@ -185,503 +121,174 @@ struct TieredStoreStats
                          static_cast<double>(total);
     }
 
-    /** Fraction of demand probes tier 0 served for free. */
-    double
-    tier0HitRate() const
-    {
-        const auto total = hits + misses;
-        return total == 0
-                   ? 0.0
-                   : static_cast<double>(tier[0].hits) /
-                         static_cast<double>(total);
-    }
-
-    /** Fold another snapshot in: counters sum; point-in-time fields
-     *  (entries, residentSamples, slotsAllocated) latch the other
-     *  snapshot's value when it carries one. */
+    /** Fold in another model's snapshot (another shard, another
+     *  rack): every field sums, residency included. */
     void accumulate(const TieredStoreStats &o);
 
-    /** Counter deltas between two snapshots of one store; the
-     *  point-in-time fields take `after`'s values. */
+    /** Fold in a later delta of the same model(s): counters sum and
+     *  the residency fields take `o`'s values. */
+    void advance(const TieredStoreStats &o);
+
+    /** Counter deltas between two snapshots of one model; the
+     *  residency fields take `after`'s values. */
     static TieredStoreStats delta(const TieredStoreStats &before,
                                   const TieredStoreStats &after);
 };
 
-/** The pre-hierarchy name, kept for every existing rollup/call site. */
-using DecodedCacheStats = TieredStoreStats;
-
-/** Budget of one tier. */
-struct TierConfig
-{
-    /** Maximum resident windows; 0 disables the tier. */
-    std::size_t windows = 0;
-    /** Maximum resident slot capacity in samples; 0 = bounded by
-     *  `windows` alone. With mixed window sizes (adaptive channels)
-     *  this is the bound that tracks the modeled BRAM size. */
-    std::size_t sampleBudget = 0;
-};
-
-/** Static configuration of a TieredWindowStore. */
+/** Shape of one model. */
 struct TieredStoreConfig
 {
-    /** The small fast tier (BRAM): free hits. */
-    TierConfig tier0;
-    /** The large slow tier; windows == 0 = single-tier store. */
-    TierConfig tier1;
+    /** Fast-tier windows; tier1Windows == 0 = single tier. */
+    std::size_t tier0Windows = 0;
+    std::size_t tier1Windows = 0;
     AdmissionPolicy admission = AdmissionPolicy::AdmitAlways;
-    /** Modeled cycles charged per tier-1 access (hit or write). */
-    std::uint64_t tier1PenaltyCycles = 8;
-    /** SecondTouch ghost-list capacity in keys; 0 = auto (4x the
-     *  tier-0 window budget, clamped to [64, 262144]). */
-    std::size_t ghostWindows = 0;
 };
 
-/**
- * Bounded two-tier LRU store of decoded windows, shared by every
- * shard of a Rack.
- */
+/** Tags-only two-tier LRU model of one shard's decoded-window memory. */
 class TieredWindowStore
 {
-  private:
-    /**
-     * One pooled window buffer. `data` points into a slab owned by
-     * the store (never freed before the store), so spans handed out
-     * through Handles stay valid for the store's lifetime; `refs`
-     * pins the slot against recycling while readers hold it.
-     */
-    struct Slot
-    {
-        double *data = nullptr;
-        /** Slab bucket (capacity in samples) this slot recycles
-         *  into. */
-        std::size_t bucket = 0;
-        /** Decoded sample count (<= bucket). */
-        std::size_t size = 0;
-        std::atomic<std::uint32_t> refs{0};
-        /** True once removed from the index (evicted/cleared); a
-         *  detached slot with refs == 0 belongs to the free list. */
-        bool detached = true;
-        /** True while resting in the free list (guards the recycle
-         *  race between an evictor and the last Handle release). */
-        bool pooled = false;
-        /** True for a resident window inserted by prefetch() that no
-         *  demand get() has claimed yet (prefetch accounting). */
-        bool prefetched = false;
-    };
-
   public:
-    /**
-     * Single-tier compatibility shape: `capacity_windows` windows of
-     * tier 0, no tier 1, admit-always — byte- and counter-identical
-     * to the pre-hierarchy DecodedWindowCache.
-     *
-     * @param capacity_windows maximum resident windows; 0 disables
-     *        caching (a get() on a disabled store always decodes and
-     *        counts a miss). Note the runtime playback loop never
-     *        calls get() on a disabled store — it decodes into a
-     *        reused buffer with no locking, so the bench's uncached
-     *        baseline measures a real uncached decode loop and the
-     *        disabled store's counters stay at zero there.
-     */
+    /** Single-tier admit-always shape of `capacity_windows` windows;
+     *  0 holds nothing and counts every access a miss. */
     explicit TieredWindowStore(std::size_t capacity_windows)
-        : TieredWindowStore(
-              TieredStoreConfig{{capacity_windows, 0}, {}, {}, 8, 0})
+        : TieredWindowStore(TieredStoreConfig{capacity_windows})
     {
     }
 
     explicit TieredWindowStore(const TieredStoreConfig &cfg);
 
-    const TieredStoreConfig &config() const { return cfg_; }
-
-    /** Total window budget across both tiers (0 = disabled). */
-    std::size_t
-    capacity() const
-    {
-        return cfg_.tier0.windows + cfg_.tier1.windows;
-    }
-
-    /** True when a slow tier is provisioned. */
-    bool tiered() const { return cfg_.tier1.windows > 0; }
+    /**
+     * Demand accesses, in order, of `count` consecutive windows of one
+     * channel from `first` on, each of `window_size` samples: a hit
+     * refreshes recency (promoting a tier-1 tag with proven reuse,
+     * claiming a prefetch), a miss places the tag as admission says.
+     * Returns the hits.
+     */
+    std::uint32_t access(const DecodedWindowKey &first,
+                         std::size_t window_size,
+                         std::uint32_t count = 1);
 
     /**
-     * A ref-counted, read-only view of one cached window. Copyable;
-     * the underlying slot cannot be recycled while any Handle to it
-     * exists. Must not outlive the store.
+     * PREFETCH: place `key` ahead of demand in `target_tier` (0 for a
+     * short reuse distance, which also promotes a resident tier-1
+     * tag; a disabled tier falls back to the other). Touches no
+     * demand counter. Returns true when a cold window was placed;
+     * a resident key only has its recency refreshed.
      */
-    class Handle
-    {
-      public:
-        Handle() = default;
-
-        Handle(const Handle &o)
-            : store_(o.store_), slot_(o.slot_)
-        {
-            if (slot_)
-                slot_->refs.fetch_add(1, std::memory_order_relaxed);
-        }
-
-        Handle &
-        operator=(const Handle &o)
-        {
-            Handle copy(o);
-            swap(copy);
-            return *this;
-        }
-
-        Handle(Handle &&o) noexcept
-            : store_(o.store_), slot_(o.slot_)
-        {
-            o.store_ = nullptr;
-            o.slot_ = nullptr;
-        }
-
-        Handle &
-        operator=(Handle &&o) noexcept
-        {
-            Handle moved(std::move(o));
-            swap(moved);
-            return *this;
-        }
-
-        ~Handle() { release(); }
-
-        /** The decoded samples (empty for a null handle). */
-        ConstSampleSpan
-        samples() const
-        {
-            return slot_ ? ConstSampleSpan(slot_->data, slot_->size)
-                         : ConstSampleSpan{};
-        }
-
-        std::size_t size() const { return slot_ ? slot_->size : 0; }
-
-        explicit operator bool() const { return slot_ != nullptr; }
-
-      private:
-        friend class TieredWindowStore;
-
-        /** @pre slot's refcount already counts this handle */
-        Handle(TieredWindowStore *store, Slot *slot)
-            : store_(store), slot_(slot)
-        {
-        }
-
-        void
-        swap(Handle &o)
-        {
-            std::swap(store_, o.store_);
-            std::swap(slot_, o.slot_);
-        }
-
-        void release();
-
-        TieredWindowStore *store_ = nullptr;
-        Slot *slot_ = nullptr;
-    };
-
-    /**
-     * Return the decoded window for `key`, invoking
-     * `decode(SampleSpan) -> std::size_t` to fill a pooled slot of
-     * `window_size` samples on a miss (the callable writes the
-     * decoded samples and returns the count, which may be shorter
-     * for a tail window). Templated on the callable so the hit path
-     * — the steady state of a warm rack — never materializes a
-     * std::function. Cold keys are single-flight: one caller decodes
-     * while racing callers wait on its in-flight latch and then
-     * serve from the inserted entry. The returned Handle's samples
-     * are immutable and stay valid across subsequent evictions for
-     * as long as the Handle (and the store) live.
-     */
-    template <typename Decode>
-    Handle
-    get(const DecodedWindowKey &key, std::size_t window_size,
-        Decode &&decode)
-    {
-        bool leader = false;
-        if (Handle hit = probeOrLatch(key, leader))
-            return hit;
-        // Decode outside the lock: a cold window costs one
-        // transform, not one transform per waiting worker held under
-        // the mutex. The acquired slot carries a reference for the
-        // in-flight decode; if the decode throws (corrupt channel,
-        // non-windowed codec) the latch resolves (a waiter becomes
-        // the new leader) and the slot goes back to the pool before
-        // the exception escapes.
-        Slot *slot = acquireSlot(window_size);
-        try {
-            slot->size = decode(SampleSpan(slot->data, window_size));
-        } catch (...) {
-            abortFill(key);
-            releaseSlot(slot);
-            throw;
-        }
-        return insert(key, slot);
-    }
-
-    /**
-     * Warm the store ahead of demand: decode `key`'s window into a
-     * pooled slot and insert it flagged as prefetched, returning a
-     * Handle that pins it (the instruction-stream interpreter holds
-     * the pin until the consuming PLAY retires, so an LRU burst
-     * cannot evict a window between its PREFETCH and its use).
-     *
-     * `target_tier` is the compiler's placement hint: 0 decodes (or
-     * promotes an already-resident tier-1 entry) into the fast tier
-     * for short-reuse-distance windows, 1 stages into the slow tier
-     * without disturbing the hot set. A hint for a disabled tier
-     * falls back to the enabled one.
-     *
-     * Unlike get(), this never touches the demand hit/miss counters:
-     * a cold prefetch counts one `prefetches`, a resident or
-     * in-flight key only refreshes recency (promoting on a tier-0
-     * hint), and a disabled store makes it a no-op — those return a
-     * null Handle and skip the decode entirely.
-     */
-    template <typename Decode>
-    Handle
-    prefetch(const DecodedWindowKey &key, std::size_t window_size,
-             std::uint8_t target_tier, Decode &&decode)
-    {
-        if (capacity() == 0 || touchResident(key, target_tier))
-            return {};
-        Slot *slot = acquireSlot(window_size);
-        try {
-            slot->size = decode(SampleSpan(slot->data, window_size));
-        } catch (...) {
-            releaseSlot(slot);
-            throw;
-        }
-        return insert(key, slot, /*prefetched=*/true, target_tier);
-    }
-
-    /** Tier-0-targeted prefetch (the pre-hierarchy signature). */
-    template <typename Decode>
-    Handle
-    prefetch(const DecodedWindowKey &key, std::size_t window_size,
-             Decode &&decode)
-    {
-        return prefetch(key, window_size, 0,
-                        std::forward<Decode>(decode));
-    }
-
-    /**
-     * Demand-side probe without a decode callback — one leg of the
-     * batched fill protocol (lookup each window; batch-decode the
-     * miss run; put() each decoded slice). A hit pins the slot and
-     * counts a hit exactly as get() would; a miss counts a miss and
-     * returns a null Handle, leaving the fill to a later put().
-     * Never blocks on an in-flight decode (the batch path brings its
-     * own fill).
-     */
-    Handle lookup(const DecodedWindowKey &key);
-
-    /**
-     * Insert an already-decoded window — the other leg of the batched
-     * fill protocol. Copies `samples` into a pooled slot of
-     * `window_size` capacity and inserts under `key` (the usual
-     * lost-race rule applies: a key that became resident meanwhile
-     * wins and the new slot returns to the pool). Counts nothing:
-     * the miss was already counted by the lookup() that preceded it.
-     * @pre samples.size() <= window_size
-     */
-    Handle put(const DecodedWindowKey &key, ConstSampleSpan samples,
-               std::size_t window_size);
+    bool prefetch(const DecodedWindowKey &key, std::size_t window_size,
+                  std::uint8_t target_tier = 0);
 
     TieredStoreStats stats() const;
 
-    /** Drop all entries and the SecondTouch ghost list (counters and
-     *  the TinyLFU sketch are kept; pinned slots are recycled when
-     *  their last Handle releases). */
-    void clear();
+    /** Add the counters accumulated since the last call to the
+     *  registry's cache.tier{0,1}.{hit, miss, promote, demote,
+     *  admit_rejected}; the batch path calls it once per column. */
+    void publishMetrics();
 
   private:
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+    /** lists_ slot of unused entries, kept for reuse. */
+    static constexpr std::uint8_t kFree = 2;
+    /** admissionTier's answer for "held nowhere". */
+    static constexpr std::uint8_t kBypass = 0xFF;
+
+    /** One tag, linked into one of lists_ by entry index. */
     struct Entry
     {
         DecodedWindowKey key;
-        Slot *slot = nullptr;
-        /** Tier whose LRU list currently holds this entry. */
-        std::uint8_t tier = 0;
-        /** Tier-1 entries only: true once reuse is proven (a prior
-         *  tier-1 hit, or a demotion out of tier 0); the next tier-1
-         *  hit promotes. Keeps one-shot windows out of tier 0. */
+        std::uint32_t prev = kNil;
+        std::uint32_t next = kNil;
+        std::uint32_t samples = 0;
+        /** The list holding the tag: tier 0, tier 1 or kFree. */
+        std::uint8_t list = kFree;
+        /** Tier-1 tags: reuse proven (a prior tier-1 hit or a
+         *  demotion), so the next tier-1 hit promotes. */
         bool touched = false;
+        /** Placed by prefetch() and not yet claimed. */
+        bool prefetched = false;
+        /**
+         * A range replayed in order leaves its tags adjacent, last
+         * window first. The walk that verifies this records the run on
+         * its first window's entry (`runLen`, `runHead` = the last
+         * window's entry) and points every member at it (`run`); any
+         * single-tag move or removal breaks the member's run, so a
+         * recorded run is intact and its next replay moves as a block.
+         */
+        std::uint32_t run = kNil;
+        std::uint32_t runLen = 0;
+        std::uint32_t runHead = kNil;
     };
 
-    /** Per-key latch a cold get() leaves while decoding. */
-    struct Inflight
+    /** Doubly linked list over entries_, most recent first. */
+    struct List
     {
-        std::condition_variable cv;
-        bool done = false;
+        std::uint32_t head = kNil;
+        std::uint32_t tail = kNil;
+        std::size_t size = 0;
+        /** Sum of the members' `samples`. */
+        std::size_t samples = 0;
     };
 
-    /** Count-min frequency sketch with periodic halving (TinyLFU
-     *  aging), sized from the tier-0 window budget. */
-    class FrequencySketch
+    std::size_t
+    capacity() const
     {
-      public:
-        void reset(std::size_t entries);
-        void add(std::uint64_t hash);
-        std::uint32_t estimate(std::uint64_t hash) const;
+        return cfg_.tier0Windows + cfg_.tier1Windows;
+    }
 
-      private:
-        std::vector<std::uint8_t> counters_;
-        std::size_t mask_ = 0;
-        std::uint64_t adds_ = 0;
-        std::uint64_t sampleWindow_ = 0;
-    };
+    std::size_t
+    tierWindows(std::size_t t) const
+    {
+        return t == 0 ? cfg_.tier0Windows : cfg_.tier1Windows;
+    }
 
-    using LruList = std::list<Entry>;
-    using Index = std::map<DecodedWindowKey, LruList::iterator>;
-
-    /** Returned by admissionTierLocked: admitted nowhere (serve the
-     *  decode straight to the caller, cache nothing). */
-    static constexpr std::uint8_t kBypassTier = 0xFF;
-
-    bool enabled() const { return capacity() > 0; }
-
-    /**
-     * Demand probe. A hit (either tier) returns a pinned handle; a
-     * miss counts once and either registers this caller as the
-     * decode leader (`leader` = true, null handle) or waits on the
-     * in-flight latch and re-probes.
-     */
-    Handle probeOrLatch(const DecodedWindowKey &key, bool &leader);
-
-    /** Serve a resident entry: recency, tier accounting, promotion,
-     *  prefetch claim, pin. `after_wait` = this caller already
-     *  counted its miss and is re-probing after an in-flight latch
-     *  (counts duplicateDecodesAvoided instead of a hit).
-     *  @pre mu_ held */
-    Handle hitLocked(const DecodedWindowKey &key, Index::iterator it,
-                     bool after_wait);
-
-    /** @pre mu_ held */
-    void countMissLocked(const DecodedWindowKey &key);
-
-    /** Prefetch-side probe: refresh recency if resident (promoting a
-     *  tier-1 entry on a tier-0 hint), mutating no demand counters;
-     *  in-flight keys count as resident (their decode is already
-     *  underway). */
-    bool touchResident(const DecodedWindowKey &key,
-                       std::uint8_t target_tier);
-
-    /** Insert a freshly decoded slot, evicting its tier to budget;
-     *  if the key became resident meanwhile (lost decode race) the
-     *  resident slot wins and ours returns to the pool. Pass-through
-     *  (no insertion) when the store is disabled or admission
-     *  bypasses. Resolves any in-flight latch for `key`.
-     *  `prefetched` flags the entry for the prefetch-accounting
-     *  counters; `target_tier` is honored for prefetch fills, while
-     *  demand fills place by admission policy. */
-    Handle insert(const DecodedWindowKey &key, Slot *slot,
-                  bool prefetched = false,
-                  std::uint8_t target_tier = 0);
-
-    /** Demand placement under the configured admission policy:
-     *  0, 1, or kBypassTier (counts admitRejected). @pre mu_ held */
-    std::uint8_t admissionTierLocked(const DecodedWindowKey &key);
-
-    /** Splice a tier-1 entry to the front of tier 0 and rebalance.
-     *  @pre mu_ held */
-    void promoteLocked(LruList::iterator lit);
-
-    /** Evict `tier` down to its budgets: tier 0 demotes into tier 1
-     *  when one exists (dropping otherwise), tier 1 drops.
-     *  @pre mu_ held */
-    void evictTierLocked(std::size_t tier);
-
-    /** Splice the tier-0 LRU victim into tier 1. @pre mu_ held */
-    void demoteLocked(LruList::iterator lit);
-
-    /** Drop an entry from the store entirely. @pre mu_ held */
-    void dropLocked(std::size_t tier, LruList::iterator lit);
-
-    /** SecondTouch ghost list (no-ops unless that policy is
-     *  active). @pre mu_ held */
-    void recordGhostLocked(const DecodedWindowKey &key);
-    bool ghostEraseLocked(const DecodedWindowKey &key);
-
-    /** Open-addressed ghost-table primitives. @pre mu_ held */
-    bool ghostTableInsert(std::uint64_t h);
-    bool ghostTableErase(std::uint64_t h);
-
-    /** Wake and clear any in-flight latch for `key`. @pre mu_ held */
-    void resolveLatchLocked(const DecodedWindowKey &key);
-
-    /** Leader whose decode threw: resolve the latch so a waiter can
-     *  take over. */
-    void abortFill(const DecodedWindowKey &key);
-
-    /** Charge one modeled slow-tier access. @pre mu_ held */
-    void chargeTier1Locked();
-
-    /** Carve or recycle a slot with room for `window_size` samples
-     *  (its slab bucket). */
-    Slot *acquireSlot(std::size_t window_size);
-
-    /** Called by Handle: unpin; recycles a detached slot whose last
-     *  reference this was. */
-    void releaseSlot(Slot *slot);
-
-    /** @pre mu_ held; slot already detached with refs == 0 */
-    void recycleLocked(Slot *slot);
-
-    /** Detach an entry's slot from the index side (@pre mu_ held). */
-    void detachLocked(Slot *slot);
+    /** Entry index of `key`, or kNil. */
+    std::uint32_t find(const DecodedWindowKey &key) const;
+    void indexErase(std::uint32_t e);
+    /** Move one tag to the head of `list`, breaking its run. */
+    void moveTo(std::uint32_t e, std::uint8_t list);
+    /** Move the run first..last of list 0 (head side first) to the
+     *  head, keeping its order. */
+    void runToHead(std::uint32_t first, std::uint32_t last);
+    void breakRun(std::uint32_t e);
+    /** Verify, record and return the length of the run of tier-0
+     *  hits from `first` (window `key`) up to window `end`. */
+    std::uint32_t recordRun(std::uint32_t first, DecodedWindowKey key,
+                            std::uint32_t end, bool lfu);
+    void claim(std::uint32_t e);
+    void hitTier1(std::uint32_t e);
+    void miss(const DecodedWindowKey &key, std::size_t window_size);
+    std::uint8_t admissionTier(const DecodedWindowKey &key);
+    void insert(const DecodedWindowKey &key, std::size_t window_size,
+                std::uint8_t tier, bool prefetched);
+    void promote(std::uint32_t e);
+    void demote(std::uint32_t e);
+    /** Evict `tier` to its budget: tier 0 demotes into tier 1 when
+     *  there is one, otherwise tags drop. */
+    void evictTier(std::uint8_t tier);
+    void drop(std::uint32_t e);
+    void chargeTier1();
+    /** TinyLFU count-min sketch: 4 probes of 4-bit counters. */
+    void sketchAdd(const DecodedWindowKey &key);
+    std::uint32_t sketchEstimate(const DecodedWindowKey &key) const;
 
     TieredStoreConfig cfg_;
-    mutable std::mutex mu_;
-    /** Per-tier LRU lists, MRU at the front; entries migrate between
-     *  them by splice. Spare nodes are recycled through spares_ /
-     *  spareNodes_ so a warm evict/insert cycle allocates no list or
-     *  map nodes. */
-    std::array<LruList, 2> lru_;
-    LruList spares_;
-    Index index_;
-    std::vector<Index::node_type> spareNodes_;
-    /** Resident slot capacity per tier, in samples. */
-    std::array<std::size_t, 2> residentSamples_{0, 0};
-    /** Cold keys with a decode in flight (single-flight latches). */
-    std::map<DecodedWindowKey, std::shared_ptr<Inflight>> inflight_;
-    /**
-     * SecondTouch ghost: a bounded FIFO memory of recently
-     * seen-then-rejected (or dropped) key hashes. A fixed ring holds
-     * arrival order (0 = empty slot) and an open-addressed table
-     * (linear probing, backshift deletion, <= 50% load) answers
-     * membership — both allocation-free after construction, since
-     * every churn-tenant miss passes through here under mu_. Hashes,
-     * not keys: a 64-bit collision can fake a second touch, which
-     * costs one wrongly admitted window, never correctness.
-     */
-    std::vector<std::uint64_t> ghostRing_;
-    std::vector<std::uint64_t> ghostTable_;
-    std::uint64_t ghostTableMask_ = 0;
-    std::size_t ghostHead_ = 0;
-    std::size_t ghostCapacity_ = 0;
-    FrequencySketch sketch_;
-    /** Per-window-size slab pool: free slots plus unfinished slab
-     *  regions to carve new slots from (back = active). Slab sizes
-     *  grow from a few windows to kWindowsPerSlab so buckets that
-     *  only ever hold one window (whole-waveform channels) do not
-     *  over-reserve. */
-    struct Bucket
-    {
-        std::vector<Slot *> freeSlots;
-        std::vector<std::pair<double *, double *>> regions;
-        std::size_t nextSlabWindows = kFirstSlabWindows;
-    };
-
-    static constexpr std::size_t kFirstSlabWindows = 8;
-
-    /** Slot records (deque: stable addresses) + slab ownership. */
-    std::deque<Slot> slots_;
-    std::vector<std::unique_ptr<double[]>> slabs_;
-    std::map<std::size_t, Bucket> buckets_;
+    /** capacity() + 1 entries: a fill links before its tier is
+     *  evicted back to budget. */
+    std::vector<Entry> entries_;
+    /** Tier 0, tier 1 and the free entries. */
+    std::array<List, 3> lists_;
+    /** Open-addressed index, linear probing with backshift deletion,
+     *  at most half full: (32-bit key hash << 32 | entry + 1), 0 =
+     *  empty. */
+    std::vector<std::uint64_t> index_;
+    /** Sketch counters (empty unless TinyLfu); all are halved every
+     *  8 table sizes of adds (aging). */
+    std::vector<std::uint8_t> sketch_;
+    std::uint64_t sketchAdds_ = 0;
     TieredStoreStats stats_;
+    /** stats_ as of the last publishMetrics(). */
+    TieredStoreStats published_;
 };
-
-/** The pre-hierarchy name, kept for every existing call site. */
-using DecodedWindowCache = TieredWindowStore;
 
 } // namespace compaqt::runtime
 

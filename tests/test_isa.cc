@@ -21,6 +21,7 @@
 
 #include "circuits/scheduler.hh"
 #include "circuits/surface_code.hh"
+#include "core/decompressor.hh"
 #include "core/pipeline.hh"
 #include "dsp/simd.hh"
 #include "isa/compiler.hh"
@@ -581,8 +582,7 @@ TEST(IsaExecution, CompiledMatchesDirectOnTieredRacks)
 
     using runtime::AdmissionPolicy;
     for (const auto policy :
-         {AdmissionPolicy::AdmitAlways, AdmissionPolicy::SecondTouch,
-          AdmissionPolicy::TinyLfu}) {
+         {AdmissionPolicy::AdmitAlways, AdmissionPolicy::TinyLfu}) {
         for (const int workers : {1, 4}) {
             runtime::RackConfig rc = rackConfig(clib, 2, 48);
             rc.tier1Windows = 4096;
@@ -642,11 +642,12 @@ TEST(IsaExecution, UnownedEventsReportedIdentically)
 TEST(IsaExecution, SimdBackendsBitIdenticalThroughCompiledBatch)
 {
     // The decode plane's backend choice must be invisible end to
-    // end: executeBatchCompiled (batch cache fills, coalesced PLAY
-    // ranges, prefetch pins) under a forced-scalar dispatch and
-    // under every SIMD backend the host supports must produce
-    // identical RackStats AND bit-identical decoded samples in the
-    // fleet cache — the integer codec path guarantees exactness.
+    // end: executeBatchCompiled (coalesced PLAY ranges, prefetches)
+    // under a forced-scalar dispatch and under every SIMD backend the
+    // host supports must produce identical RackStats, and the batch
+    // decode primitive playback streams through must produce
+    // bit-identical windows — the integer codec path guarantees
+    // exactness.
     namespace simd = dsp::simd;
     const auto dev = waveform::DeviceModel::ibm("bogota");
     const auto lib = waveform::PulseLibrary::build(dev);
@@ -659,22 +660,20 @@ TEST(IsaExecution, SimdBackendsBitIdenticalThroughCompiledBatch)
                                  rackConfig(clib, 2, 1 << 14));
         runtime::RuntimeService svc(rack, {.workers = 1});
         const auto stats = svc.executeBatchCompiled({sched});
-        // Harvest every decoded window still resident in the fleet
-        // cache (deterministic: same workload, same capacity).
-        std::vector<std::vector<double>> decoded;
-        for (const auto &[id, e] : clib.entries()) {
-            const core::CompressedChannel *chs[2] = {&e.cw.i,
-                                                     &e.cw.q};
-            for (std::uint8_t ch = 0; ch < 2; ++ch)
-                for (std::uint32_t w = 0;
-                     w < chs[ch]->numWindows(); ++w)
-                    if (const auto h = rack.cache().lookup(
-                            {id, ch, w,
-                             rack.currentLibrary().version})) {
-                        const auto s = h.samples();
-                        decoded.emplace_back(s.begin(), s.end());
-                    }
-        }
+        // Every window of every gate, decoded in playback's batches.
+        const core::Decompressor dec;
+        std::vector<double> decoded;
+        for (const auto &[id, e] : clib.entries())
+            for (const auto *ch : {&e.cw.i, &e.cw.q}) {
+                const auto nwin =
+                    static_cast<std::uint32_t>(ch->numWindows());
+                std::vector<double> out(nwin * ch->windowSize);
+                const auto n = dec.decodeWindowsInto(
+                    *ch, e.cw.codec, 0, nwin,
+                    SampleSpan(out.data(), out.size()));
+                decoded.insert(decoded.end(), out.begin(),
+                               out.begin() + n);
+            }
         return std::pair(stats, decoded);
     };
 
@@ -688,9 +687,9 @@ TEST(IsaExecution, SimdBackendsBitIdenticalThroughCompiledBatch)
         const std::string tag =
             "backend " + std::string(simd::backendName(b));
         expectIdenticalStats(sstats, vstats, tag.c_str());
-        ASSERT_EQ(vdecoded.size(), sdecoded.size());
-        ASSERT_EQ(vdecoded, sdecoded)
-            << "backend " << simd::backendName(b);
+        EXPECT_EQ(vstats.cache.hits, sstats.cache.hits) << tag;
+        EXPECT_EQ(vstats.cache.misses, sstats.cache.misses) << tag;
+        ASSERT_EQ(vdecoded, sdecoded) << tag;
     }
     simd::setBackend(ambient);
 }

@@ -1,20 +1,20 @@
 /**
  * @file
  * Tests for the sharded control-rack runtime: shard-plan determinism
- * and locality, schedule partitioning, the decoded-window cache (LRU
- * behavior and bit-exactness against the golden software decoder),
- * the worker pool, and the headline concurrency contract — N-worker
- * batch execution produces bit-identical per-shard demand to 1-worker
- * execution.
+ * and locality, schedule partitioning, the per-shard waveform-memory
+ * model (LRU and tier behavior against a reference LRU and against
+ * per-window access), the worker pool, and the headline concurrency
+ * contract — N-worker batch execution produces bit-identical per-shard
+ * demand and model counters to 1-worker execution.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <chrono>
+#include <list>
 #include <set>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "circuits/scheduler.hh"
@@ -170,7 +170,7 @@ TEST(Partition, PreservesGlobalStartTimes)
     }
 }
 
-// ------------------------------------------------------------- LRU cache
+// ------------------------------------------------ waveform-memory model
 
 DecodedWindowKey
 key(int q, std::uint32_t w)
@@ -178,245 +178,203 @@ key(int q, std::uint32_t w)
     return {waveform::GateId{waveform::GateType::X, q, -1}, 0, w};
 }
 
-TEST(DecodedCache, LruEvictionOrder)
+TEST(TieredStore, LruEvictionOrder)
 {
-    DecodedWindowCache cache(2);
-    int decodes = 0;
-    auto fill = [&](SampleSpan out) -> std::size_t {
-        ++decodes;
-        out[0] = 1.0;
-        return 1;
-    };
-    cache.get(key(0, 0), 1, fill); // miss
-    cache.get(key(1, 0), 1, fill); // miss
-    cache.get(key(0, 0), 1, fill); // hit, qubit 0 becomes MRU
-    cache.get(key(2, 0), 1, fill); // miss, evicts qubit 1 (LRU)
-    cache.get(key(0, 0), 1, fill); // still resident: hit
-    cache.get(key(1, 0), 1, fill); // evicted above: miss again
+    TieredWindowStore store(2);
+    EXPECT_FALSE(store.access(key(0, 0), 8));
+    EXPECT_FALSE(store.access(key(1, 0), 8));
+    EXPECT_TRUE(store.access(key(0, 0), 8));  // qubit 0 becomes MRU
+    EXPECT_FALSE(store.access(key(2, 0), 8)); // evicts qubit 1 (LRU)
+    EXPECT_TRUE(store.access(key(0, 0), 8));  // still resident
+    EXPECT_FALSE(store.access(key(1, 0), 8)); // evicted above
 
-    const auto s = cache.stats();
+    const auto s = store.stats();
     EXPECT_EQ(s.hits, 2u);
     EXPECT_EQ(s.misses, 4u);
     EXPECT_EQ(s.evictions, 2u);
     EXPECT_EQ(s.entries, 2u);
-    EXPECT_EQ(decodes, 4);
+    EXPECT_EQ(s.residentSamples, 16u); // one window size per tag
     EXPECT_NEAR(s.hitRate(), 2.0 / 6.0, 1e-12);
 }
 
-TEST(DecodedCache, CapacityZeroDisablesCaching)
+TEST(TieredStore, CapacityZeroHoldsNothing)
 {
-    DecodedWindowCache cache(0);
-    int decodes = 0;
-    auto fill = [&](SampleSpan out) -> std::size_t {
-        ++decodes;
-        out[0] = 1.0;
-        out[1] = 2.0;
-        return 2;
-    };
-    for (int i = 0; i < 3; ++i) {
-        const auto v = cache.get(key(0, 0), 2, fill);
-        ASSERT_EQ(v.size(), 2u);
-        EXPECT_EQ(v.samples()[1], 2.0);
-    }
-    const auto s = cache.stats();
-    EXPECT_EQ(decodes, 3);
+    TieredWindowStore store(0);
+    for (int i = 0; i < 3; ++i)
+        EXPECT_FALSE(store.access(key(0, 0), 8));
+    const auto s = store.stats();
     EXPECT_EQ(s.hits, 0u);
     EXPECT_EQ(s.misses, 3u);
     EXPECT_EQ(s.entries, 0u);
 }
 
-TEST(DecodedCache, EvictedValueStaysAliveForHolder)
+/** A seeded trace of replayed window ranges: a few channels, each
+ *  played from a random first window for a random length, so runs
+ *  form, overlap, split and get evicted. */
+struct RangeTrace
 {
-    DecodedWindowCache cache(1);
-    auto a = cache.get(key(0, 0), 1, [](SampleSpan out) {
-        out[0] = 7.0;
-        return std::size_t{1};
-    });
-    cache.get(key(1, 0), 1, [](SampleSpan out) {
-        out[0] = 8.0;
-        return std::size_t{1};
-    });
-    ASSERT_EQ(a.size(), 1u);
-    EXPECT_EQ(a.samples()[0], 7.0); // still valid after eviction
-}
+    std::uint64_t state = 12345;
 
-TEST(DecodedCache, ReleasedSlotsRecycleThroughTheSlabPool)
-{
-    // A cache under LRU churn reuses pooled slots instead of
-    // allocating one per miss: with capacity 1 and no held handles,
-    // any number of distinct keys needs at most two slots (the
-    // resident window plus the one being decoded).
-    DecodedWindowCache cache(1);
-    for (int q = 0; q < 32; ++q)
-        cache.get(key(q, 0), 8, [](SampleSpan out) {
-            out[0] = 1.0;
-            return std::size_t{1};
-        });
-    const auto s = cache.stats();
-    EXPECT_EQ(s.misses, 32u);
-    EXPECT_LE(s.slotsAllocated, 2u);
-
-    // Holding a handle across eviction pins exactly one extra slot.
-    auto held = cache.get(key(100, 0), 8, [](SampleSpan out) {
-        out[0] = 5.0;
-        return std::size_t{1};
-    });
-    for (int q = 0; q < 16; ++q)
-        cache.get(key(q, 1), 8, [](SampleSpan out) {
-            out[0] = 2.0;
-            return std::size_t{1};
-        });
-    EXPECT_EQ(held.samples()[0], 5.0);
-    EXPECT_LE(cache.stats().slotsAllocated, 3u);
-}
-
-TEST(DecodedCache, DecodeExceptionReturnsSlotToPool)
-{
-    // A throwing decode (corrupt channel, non-windowed codec) must
-    // not drain the slab pool: the acquired slot goes back before
-    // the exception escapes.
-    DecodedWindowCache cache(4);
-    for (int i = 0; i < 8; ++i) {
-        EXPECT_THROW(
-            cache.get(key(0, 0), 8,
-                      [](SampleSpan) -> std::size_t {
-                          throw std::runtime_error("bad gate");
-                      }),
-            std::runtime_error);
+    std::uint32_t
+    next(std::uint32_t bound)
+    {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        return static_cast<std::uint32_t>((state >> 33) % bound);
     }
-    const auto s = cache.stats();
-    EXPECT_LE(s.slotsAllocated, 1u);
-    EXPECT_EQ(s.entries, 0u);
+
+    /** (first key, count) of the next range. */
+    std::pair<DecodedWindowKey, std::uint32_t>
+    range()
+    {
+        DecodedWindowKey k = key(static_cast<int>(next(6)), next(4));
+        k.channel = static_cast<std::uint8_t>(next(2));
+        return {k, 1 + next(next(4) == 0 ? 12 : 3)};
+    }
+};
+
+TEST(TieredStore, MatchesReferenceLruOnRandomTrace)
+{
+    // The open-addressed index (backshift deletion included), the
+    // intrusive LRU lists and the recorded-run block moves must
+    // behave exactly like a textbook per-window LRU.
+    constexpr std::size_t kCapacity = 17;
+    TieredWindowStore store(kCapacity);
+    std::list<DecodedWindowKey> ref; // MRU at the front
+    RangeTrace trace;
+    for (int i = 0; i < 20000; ++i) {
+        const auto [first, count] = trace.range();
+        std::uint32_t want = 0;
+        for (DecodedWindowKey k = first; k.window < first.window + count;
+             ++k.window) {
+            const auto it = std::find(ref.begin(), ref.end(), k);
+            if (it != ref.end()) {
+                ++want;
+                ref.erase(it);
+            }
+            ref.push_front(k);
+            if (ref.size() > kCapacity)
+                ref.pop_back();
+        }
+        ASSERT_EQ(store.access(first, 8, count), want) << "access " << i;
+    }
+    EXPECT_EQ(store.stats().entries, kCapacity);
 }
 
-TEST(DecodedCache, PrefetchCountersTrackClaims)
+TEST(TieredStore, RangeAccessMatchesPerWindowAccess)
 {
-    DecodedWindowCache cache(2);
-    int decodes = 0;
-    auto fill = [&](SampleSpan out) -> std::size_t {
-        ++decodes;
-        out[0] = 3.0;
-        return 1;
-    };
-    // Cold prefetch: decodes, inserts, pins — and touches neither
-    // demand counter.
-    const auto pin = cache.prefetch(key(0, 0), 1, fill);
-    ASSERT_TRUE(pin);
-    EXPECT_EQ(decodes, 1);
-    auto s = cache.stats();
+    // One range access is exactly `count` single-window accesses, on
+    // every model shape, with prefetches mixed in.
+    for (const auto policy :
+         {AdmissionPolicy::AdmitAlways, AdmissionPolicy::TinyLfu}) {
+        for (const std::size_t tier1 : {0, 9}) {
+            const TieredStoreConfig cfg{7, tier1, policy};
+            TieredWindowStore ranged(cfg);
+            TieredWindowStore single(cfg);
+            RangeTrace trace;
+            for (int i = 0; i < 20000; ++i) {
+                const auto [first, count] = trace.range();
+                if (trace.next(8) == 0) {
+                    const auto tier = static_cast<std::uint8_t>(trace.next(2));
+                    ASSERT_EQ(ranged.prefetch(first, 8, tier),
+                              single.prefetch(first, 8, tier));
+                    continue;
+                }
+                std::uint32_t hits = 0;
+                for (DecodedWindowKey k = first;
+                     k.window < first.window + count; ++k.window)
+                    hits += single.access(k, 8);
+                ASSERT_EQ(ranged.access(first, 8, count), hits)
+                    << admissionPolicyName(policy) << " tier1 " << tier1
+                    << " access " << i;
+            }
+            const auto a = ranged.stats(), b = single.stats();
+            EXPECT_EQ(a.hits, b.hits);
+            EXPECT_EQ(a.evictions, b.evictions);
+            EXPECT_EQ(a.promotions, b.promotions);
+            EXPECT_EQ(a.demotions, b.demotions);
+            EXPECT_EQ(a.prefetchHits, b.prefetchHits);
+            EXPECT_EQ(a.prefetchWasted, b.prefetchWasted);
+            EXPECT_EQ(a.tier[0].admitRejected, b.tier[0].admitRejected);
+            EXPECT_EQ(a.tier[1].entries, b.tier[1].entries);
+            EXPECT_GT(a.hits, 0u);
+            EXPECT_GT(a.evictions + a.demotions, 0u);
+        }
+    }
+}
+
+TEST(TieredStore, SingleWindowMoveSplitsARecordedRun)
+{
+    // A replayed range is recorded as a run and later moves as one
+    // block; touching one of its windows alone (here a PREFETCH of a
+    // resident window) must split it, or the next replay would move
+    // a block that no longer holds the run.
+    TieredWindowStore store(6);
+    const auto w = [](std::uint32_t i) { return key(0, i); };
+    EXPECT_EQ(store.access(w(0), 8, 4), 0u); // [w3 w2 w1 w0]
+    EXPECT_EQ(store.access(w(0), 8, 4), 4u); // recorded as a run
+    EXPECT_EQ(store.access(w(0), 8, 4), 4u); // moved as one block
+    EXPECT_FALSE(store.prefetch(w(2), 8));   // [w2 w3 w1 w0]
+    store.access(key(1, 0), 8, 2);           // [q1w1 q1w0 w2 w3 w1 w0]
+    EXPECT_EQ(store.access(w(0), 8, 4), 4u); // [w3 w2 w1 w0 q1w1 q1w0]
+    store.access(key(2, 0), 8);              // evicts q1w0, not w2
+    EXPECT_EQ(store.access(w(2), 8), 1u);
+    EXPECT_EQ(store.access(key(1, 1), 8), 1u);
+    EXPECT_EQ(store.access(key(1, 0), 8), 0u);
+}
+
+TEST(TieredStore, PrefetchCountersTrackClaims)
+{
+    TieredWindowStore store(2);
+    // Cold prefetch: placed, touching neither demand counter.
+    EXPECT_TRUE(store.prefetch(key(0, 0), 8));
+    auto s = store.stats();
     EXPECT_EQ(s.prefetches, 1u);
     EXPECT_EQ(s.hits, 0u);
     EXPECT_EQ(s.misses, 0u);
 
-    // First demand get claims it: a hit (no decode) plus exactly one
-    // prefetchHit; later gets are plain hits.
-    const auto v = cache.get(key(0, 0), 1, fill);
-    EXPECT_EQ(decodes, 1);
-    EXPECT_EQ(v.samples()[0], 3.0);
-    cache.get(key(0, 0), 1, fill);
-    s = cache.stats();
+    // First demand access claims it: a hit plus exactly one
+    // prefetchHit; later accesses are plain hits.
+    EXPECT_TRUE(store.access(key(0, 0), 8));
+    EXPECT_TRUE(store.access(key(0, 0), 8));
+    s = store.stats();
     EXPECT_EQ(s.hits, 2u);
     EXPECT_EQ(s.prefetchHits, 1u);
     EXPECT_EQ(s.prefetchWasted, 0u);
 }
 
-TEST(DecodedCache, UnclaimedPrefetchCountsWasted)
+TEST(TieredStore, UnclaimedPrefetchCountsWasted)
 {
-    DecodedWindowCache cache(1);
-    auto fill = [](SampleSpan out) -> std::size_t {
-        out[0] = 1.0;
-        return 1;
-    };
-    cache.prefetch(key(0, 0), 1, fill);
-    // Evicted by demand traffic before any get() touched it.
-    cache.get(key(1, 0), 1, fill);
-    auto s = cache.stats();
+    TieredWindowStore store(1);
+    store.prefetch(key(0, 0), 8);
+    // Evicted by demand traffic before any access touched it.
+    store.access(key(1, 0), 8);
+    const auto s = store.stats();
     EXPECT_EQ(s.prefetches, 1u);
     EXPECT_EQ(s.prefetchHits, 0u);
     EXPECT_EQ(s.prefetchWasted, 1u);
-
-    // clear() resolves still-unclaimed prefetches as wasted too.
-    cache.prefetch(key(2, 0), 1, fill);
-    cache.clear();
-    s = cache.stats();
-    EXPECT_EQ(s.prefetches, 2u);
-    EXPECT_EQ(s.prefetchWasted, 2u);
 }
 
-TEST(DecodedCache, PrefetchIsANoOpWhenDisabledOrResident)
+TEST(TieredStore, PrefetchIsANoOpWhenDisabledOrResident)
 {
-    int decodes = 0;
-    auto fill = [&](SampleSpan out) -> std::size_t {
-        ++decodes;
-        out[0] = 1.0;
-        return 1;
-    };
-    // Disabled cache: null handle, no decode, no counters.
-    DecodedWindowCache off(0);
-    EXPECT_FALSE(off.prefetch(key(0, 0), 1, fill));
-    EXPECT_EQ(decodes, 0);
+    TieredWindowStore off(0);
+    EXPECT_FALSE(off.prefetch(key(0, 0), 8));
     EXPECT_EQ(off.stats().prefetches, 0u);
 
-    // Resident key: recency refresh only — no decode, no counters,
-    // but the entry becomes MRU and survives the next eviction.
-    DecodedWindowCache cache(2);
-    cache.get(key(0, 0), 1, fill); // [k0]
-    cache.get(key(1, 0), 1, fill); // [k1 k0]
-    EXPECT_EQ(decodes, 2);
-    EXPECT_FALSE(cache.prefetch(key(0, 0), 1, fill)); // [k0 k1]
-    EXPECT_EQ(decodes, 2);
-    EXPECT_EQ(cache.stats().prefetches, 0u);
-    cache.get(key(2, 0), 1, fill); // evicts k1, not k0
-    cache.get(key(0, 0), 1, fill);
-    const auto s = cache.stats();
-    EXPECT_EQ(decodes, 3);
+    // Resident key: recency refresh only — no counters, but the tag
+    // becomes MRU and survives the next eviction.
+    TieredWindowStore store(2);
+    store.access(key(0, 0), 8);                // [k0]
+    store.access(key(1, 0), 8);                // [k1 k0]
+    EXPECT_FALSE(store.prefetch(key(0, 0), 8)); // [k0 k1]
+    EXPECT_EQ(store.stats().prefetches, 0u);
+    store.access(key(2, 0), 8); // evicts k1, not k0
+    EXPECT_TRUE(store.access(key(0, 0), 8));
+    const auto s = store.stats();
     EXPECT_EQ(s.hits, 1u);
     EXPECT_EQ(s.evictions, 1u);
 }
 
-TEST(DecodedCache, BitExactVsGoldenDecoder)
-{
-    const auto dev = waveform::DeviceModel::ibm("bogota");
-    const auto lib = waveform::PulseLibrary::build(dev);
-    const auto clib = buildCompressed(lib);
-
-    DecodedWindowCache cache(1 << 14);
-    const core::Decompressor dec;
-    for (const auto &[id, e] : clib.entries()) {
-        const core::CompressedChannel *channels[2] = {&e.cw.i,
-                                                      &e.cw.q};
-        for (std::uint8_t ch = 0; ch < 2; ++ch) {
-            const auto &channel = *channels[ch];
-            // Assemble the channel from cached windows (run twice so
-            // the second pass replays from cache).
-            for (int pass = 0; pass < 2; ++pass) {
-                std::vector<double> assembled;
-                for (std::uint32_t w = 0;
-                     w < channel.windows.size(); ++w) {
-                    const auto v = cache.get(
-                        {id, ch, w}, channel.windowSize,
-                        [&](SampleSpan out) {
-                            return dec.decompressWindowInto(
-                                channel, e.cw.codec, w, out);
-                        });
-                    const auto s = v.samples();
-                    assembled.insert(assembled.end(), s.begin(),
-                                     s.end());
-                }
-                const auto golden =
-                    dec.decompressChannel(channel, e.cw.codec);
-                ASSERT_EQ(assembled, golden)
-                    << waveform::toString(id) << " ch "
-                    << static_cast<int>(ch) << " pass " << pass;
-            }
-        }
-    }
-    const auto s = cache.stats();
-    EXPECT_GT(s.hits, 0u);
-    EXPECT_EQ(s.evictions, 0u);
-}
-
-TEST(DecodedCache, DefaultWindowHookMatchesChannelSlice)
+TEST(WindowDecode, DefaultWindowHookMatchesChannelSlice)
 {
     // The base-class decompressWindow (decode-and-slice) must agree
     // with decompressChannel for codecs that do not override it.
@@ -442,79 +400,14 @@ TEST(DecodedCache, DefaultWindowHookMatchesChannelSlice)
     EXPECT_EQ(window, dec.decompressChannel(cwn.i, cwn.codec));
 }
 
-// ----------------------------------------------- hierarchical store
-
-/** An 8-sample decode hook stamping a per-key fingerprint, plus a
- *  decode counter — enough to watch admission decisions. */
-struct CountingDecoder
-{
-    int decodes = 0;
-
-    auto
-    fill(const DecodedWindowKey &k)
-    {
-        return [this, k](SampleSpan out) -> std::size_t {
-            ++decodes;
-            for (std::size_t i = 0; i < out.size(); ++i)
-                out[i] = static_cast<double>(k.gate.q0 * 1000 +
-                                             k.window * 10 + i);
-            return out.size();
-        };
-    }
-};
-
-TEST(TieredStore, SampleBudgetBoundsResidency)
-{
-    TieredStoreConfig cfg;
-    cfg.tier0 = {100, 16}; // window cap slack; budget binds at 16
-    TieredWindowStore store(cfg);
-    CountingDecoder dec;
-    store.get(key(0, 0), 8, dec.fill(key(0, 0)));
-    store.get(key(1, 0), 8, dec.fill(key(1, 0)));
-    auto s = store.stats();
-    EXPECT_EQ(s.entries, 2u);
-    EXPECT_EQ(s.residentSamples, 16u);
-    EXPECT_EQ(s.tier[0].residentSamples, 16u);
-
-    // A third window overflows the sample budget: the LRU entry
-    // (qubit 0) is evicted even though the window cap has room.
-    store.get(key(2, 0), 8, dec.fill(key(2, 0)));
-    s = store.stats();
-    EXPECT_EQ(s.entries, 2u);
-    EXPECT_EQ(s.residentSamples, 16u);
-    EXPECT_EQ(s.evictions, 1u);
-    store.get(key(0, 0), 8, dec.fill(key(0, 0)));
-    EXPECT_EQ(dec.decodes, 4); // qubit 0 really was dropped
-
-    // One oversized window may exceed the whole budget on its own:
-    // the budget never evicts the sole resident entry.
-    TieredStoreConfig tiny;
-    tiny.tier0 = {100, 4};
-    TieredWindowStore wide(tiny);
-    CountingDecoder wdec;
-    wide.get(key(7, 0), 32, wdec.fill(key(7, 0)));
-    s = wide.stats();
-    EXPECT_EQ(s.entries, 1u);
-    EXPECT_EQ(s.residentSamples, 32u);
-    EXPECT_EQ(s.evictions, 0u);
-    wide.get(key(8, 0), 32, wdec.fill(key(8, 0)));
-    s = wide.stats();
-    EXPECT_EQ(s.entries, 1u); // over budget: back down to one
-    EXPECT_EQ(s.evictions, 1u);
-}
+// ----------------------------------------------- hierarchical model
 
 TEST(TieredStore, AdmitAlwaysDemotesAndPromotesAcrossTiers)
 {
-    TieredStoreConfig cfg;
-    cfg.tier0 = {1, 0};
-    cfg.tier1 = {2, 0};
-    cfg.tier1PenaltyCycles = 8;
-    TieredWindowStore store(cfg);
-    ASSERT_TRUE(store.tiered());
-    CountingDecoder dec;
+    TieredWindowStore store({1, 2, AdmissionPolicy::AdmitAlways});
 
-    store.get(key(0, 0), 8, dec.fill(key(0, 0))); // A -> tier 0
-    store.get(key(1, 0), 8, dec.fill(key(1, 0))); // B -> t0, A -> t1
+    store.access(key(0, 0), 8); // A -> tier 0
+    store.access(key(1, 0), 8); // B -> t0, A -> t1
     auto s = store.stats();
     EXPECT_EQ(s.demotions, 1u);
     EXPECT_EQ(s.tier[0].entries, 1u);
@@ -523,9 +416,8 @@ TEST(TieredStore, AdmitAlwaysDemotesAndPromotesAcrossTiers)
     // A is served from tier 1 (penalty charged, tier-0 miss + tier-1
     // hit recorded) and — having proven reuse by being demoted —
     // promotes straight back, demoting B.
-    store.get(key(0, 0), 8, dec.fill(key(0, 0)));
+    EXPECT_TRUE(store.access(key(0, 0), 8));
     s = store.stats();
-    EXPECT_EQ(dec.decodes, 2); // no re-decode: the hierarchy served it
     EXPECT_EQ(s.hits, 1u);
     EXPECT_EQ(s.misses, 2u);
     EXPECT_EQ(s.tier[1].hits, 1u);
@@ -534,288 +426,39 @@ TEST(TieredStore, AdmitAlwaysDemotesAndPromotesAcrossTiers)
     EXPECT_EQ(s.demotions, 2u);
     // tier-1 traffic: demote A, hit A, demote B.
     EXPECT_EQ(s.tier1Accesses, 3u);
-    EXPECT_EQ(s.penaltyCycles, 3u * 8u);
-    EXPECT_NEAR(s.tier0HitRate(), 0.0, 1e-12);
+    EXPECT_EQ(s.penaltyCycles, 3u * kTier1PenaltyCycles);
+    EXPECT_EQ(s.tier[0].hits, 0u);
     EXPECT_NEAR(s.hitRate(), 1.0 / 3.0, 1e-12);
-}
-
-TEST(TieredStore, SecondTouchStagesInSlowTierUntilReuse)
-{
-    TieredStoreConfig cfg;
-    cfg.tier0 = {4, 0};
-    cfg.tier1 = {4, 0};
-    cfg.admission = AdmissionPolicy::SecondTouch;
-    TieredWindowStore store(cfg);
-    CountingDecoder dec;
-
-    // First touch: rejected from tier 0, staged in tier 1.
-    store.get(key(0, 0), 8, dec.fill(key(0, 0)));
-    auto s = store.stats();
-    EXPECT_EQ(s.tier[0].admitRejected, 1u);
-    EXPECT_EQ(s.tier[1].admitted, 1u);
-    EXPECT_EQ(s.tier[0].entries, 0u);
-    EXPECT_EQ(s.tier[1].entries, 1u);
-
-    // Second touch hits tier 1; third touch promotes.
-    store.get(key(0, 0), 8, dec.fill(key(0, 0)));
-    store.get(key(0, 0), 8, dec.fill(key(0, 0)));
-    s = store.stats();
-    EXPECT_EQ(dec.decodes, 1);
-    EXPECT_EQ(s.tier[1].hits, 2u);
-    EXPECT_EQ(s.promotions, 1u);
-    EXPECT_EQ(s.tier[0].entries, 1u);
-    EXPECT_EQ(s.tier[1].entries, 0u);
-}
-
-TEST(TieredStore, SecondTouchGhostAdmitsOnReuseWithoutSlowTier)
-{
-    // With no tier 1 the first touch is served but cached nowhere;
-    // the ghost list remembers it, so the second miss admits.
-    TieredStoreConfig cfg;
-    cfg.tier0 = {4, 0};
-    cfg.admission = AdmissionPolicy::SecondTouch;
-    TieredWindowStore store(cfg);
-    CountingDecoder dec;
-
-    auto first = store.get(key(0, 0), 8, dec.fill(key(0, 0)));
-    EXPECT_EQ(first.size(), 8u); // bypass still serves the decode
-    auto s = store.stats();
-    EXPECT_EQ(s.tier[0].admitRejected, 1u);
-    EXPECT_EQ(s.entries, 0u);
-
-    store.get(key(0, 0), 8, dec.fill(key(0, 0)));
-    s = store.stats();
-    EXPECT_EQ(dec.decodes, 2); // the bypass pass was not cached
-    EXPECT_EQ(s.misses, 2u);
-    EXPECT_EQ(s.tier[0].admitted, 1u);
-    EXPECT_EQ(s.entries, 1u);
-
-    store.get(key(0, 0), 8, dec.fill(key(0, 0)));
-    EXPECT_EQ(dec.decodes, 2);
-    EXPECT_EQ(store.stats().hits, 1u);
 }
 
 TEST(TieredStore, TinyLfuChallengesTheVictimFrequency)
 {
-    TieredStoreConfig cfg;
-    cfg.tier0 = {2, 0};
-    cfg.admission = AdmissionPolicy::TinyLfu;
-    TieredWindowStore store(cfg);
-    CountingDecoder dec;
+    TieredWindowStore store({2, 0, AdmissionPolicy::TinyLfu});
 
-    // Warm A and B to frequency 2 each (every probe feeds the
+    // Warm A and B to frequency 2 each (every access feeds the
     // sketch).
     for (int pass = 0; pass < 2; ++pass) {
-        store.get(key(0, 0), 8, dec.fill(key(0, 0)));
-        store.get(key(1, 0), 8, dec.fill(key(1, 0)));
+        store.access(key(0, 0), 8);
+        store.access(key(1, 0), 8);
     }
-    ASSERT_EQ(dec.decodes, 2);
+    ASSERT_EQ(store.stats().hits, 2u);
 
     // A cold challenger cannot displace a warmer victim: the first
-    // two C touches lose the frequency duel and bypass the cache.
-    store.get(key(2, 0), 8, dec.fill(key(2, 0)));
-    store.get(key(2, 0), 8, dec.fill(key(2, 0)));
+    // two C accesses lose the frequency duel and are held nowhere.
+    EXPECT_FALSE(store.access(key(2, 0), 8));
+    EXPECT_FALSE(store.access(key(2, 0), 8));
     auto s = store.stats();
     EXPECT_EQ(s.tier[0].admitRejected, 2u);
     EXPECT_EQ(s.evictions, 0u);
-    EXPECT_EQ(dec.decodes, 4); // rejected C decodes every time
 
-    // Third touch: C's estimate (3) now beats the LRU victim's (2),
+    // Third access: C's estimate (3) now beats the LRU victim's (2),
     // so it is admitted and the victim is dropped.
-    store.get(key(2, 0), 8, dec.fill(key(2, 0)));
+    EXPECT_FALSE(store.access(key(2, 0), 8));
     s = store.stats();
     EXPECT_EQ(s.tier[0].admitted, 3u);
     EXPECT_EQ(s.evictions, 1u);
-    store.get(key(2, 0), 8, dec.fill(key(2, 0)));
-    EXPECT_EQ(dec.decodes, 5);
+    EXPECT_TRUE(store.access(key(2, 0), 8));
     EXPECT_EQ(store.stats().hits, 3u); // warm passes + resident C
-}
-
-TEST(TieredStore, EvictionUnderTierPressureKeepsPinnedWindowAlive)
-{
-    TieredStoreConfig cfg;
-    cfg.tier0 = {1, 0};
-    cfg.tier1 = {1, 0};
-    TieredWindowStore store(cfg);
-    CountingDecoder dec;
-
-    auto pinned = store.get(key(0, 0), 8, dec.fill(key(0, 0)));
-    const std::vector<double> want(pinned.samples().begin(),
-                                   pinned.samples().end());
-
-    // B demotes A; C demotes B, which pushes A out of tier 1
-    // entirely — while the caller still holds its handle.
-    store.get(key(1, 0), 8, dec.fill(key(1, 0)));
-    store.get(key(2, 0), 8, dec.fill(key(2, 0)));
-    auto s = store.stats();
-    EXPECT_EQ(s.evictions, 1u);
-    EXPECT_EQ(s.tier[1].evictions, 1u);
-    EXPECT_EQ(s.demotions, 2u);
-    EXPECT_EQ(s.entries, 2u);
-
-    // The pinned handle still reads the original samples.
-    ASSERT_TRUE(pinned);
-    EXPECT_EQ(std::vector<double>(pinned.samples().begin(),
-                                  pinned.samples().end()),
-              want);
-
-    // Releasing the pin recycles the slot: the next fill reuses it
-    // instead of carving a new one.
-    const auto before = store.stats().slotsAllocated;
-    pinned = {};
-    store.get(key(3, 0), 8, dec.fill(key(3, 0)));
-    EXPECT_EQ(store.stats().slotsAllocated, before);
-}
-
-TEST(TieredStore, LookupPutBatchPathMatchesGetStats)
-{
-    // The batch-fill protocol (lookup, decode outside the lock, put)
-    // must land on exactly the same stats as the blocking get()
-    // path, policy by policy.
-    const DecodedWindowKey trace[] = {key(0, 0), key(1, 0), key(0, 0),
-                                      key(2, 0), key(0, 0), key(1, 0),
-                                      key(2, 0), key(2, 0), key(3, 0)};
-    for (const auto policy :
-         {AdmissionPolicy::AdmitAlways, AdmissionPolicy::SecondTouch,
-          AdmissionPolicy::TinyLfu}) {
-        TieredStoreConfig cfg;
-        cfg.tier0 = {2, 0};
-        cfg.tier1 = {2, 0};
-        cfg.admission = policy;
-        TieredWindowStore viaGet(cfg);
-        TieredWindowStore viaPut(cfg);
-        CountingDecoder gdec, pdec;
-        for (const auto &k : trace) {
-            viaGet.get(k, 8, gdec.fill(k));
-            if (auto h = viaPut.lookup(k); !h) {
-                std::vector<double> buf(8);
-                pdec.fill(k)(SampleSpan(buf.data(), buf.size()));
-                viaPut.put(k, {buf.data(), buf.size()}, 8);
-            }
-        }
-        EXPECT_EQ(gdec.decodes, pdec.decodes) << admissionPolicyName(policy);
-        const auto a = viaGet.stats();
-        const auto b = viaPut.stats();
-        EXPECT_EQ(a.hits, b.hits) << admissionPolicyName(policy);
-        EXPECT_EQ(a.misses, b.misses) << admissionPolicyName(policy);
-        EXPECT_EQ(a.evictions, b.evictions) << admissionPolicyName(policy);
-        EXPECT_EQ(a.promotions, b.promotions) << admissionPolicyName(policy);
-        EXPECT_EQ(a.demotions, b.demotions) << admissionPolicyName(policy);
-        EXPECT_EQ(a.tier1Accesses, b.tier1Accesses)
-            << admissionPolicyName(policy);
-        EXPECT_EQ(a.penaltyCycles, b.penaltyCycles)
-            << admissionPolicyName(policy);
-        EXPECT_EQ(a.entries, b.entries) << admissionPolicyName(policy);
-        EXPECT_EQ(a.residentSamples, b.residentSamples)
-            << admissionPolicyName(policy);
-        for (std::size_t t = 0; t < 2; ++t) {
-            EXPECT_EQ(a.tier[t].hits, b.tier[t].hits)
-                << admissionPolicyName(policy) << " tier " << t;
-            EXPECT_EQ(a.tier[t].misses, b.tier[t].misses)
-                << admissionPolicyName(policy) << " tier " << t;
-            EXPECT_EQ(a.tier[t].admitted, b.tier[t].admitted)
-                << admissionPolicyName(policy) << " tier " << t;
-            EXPECT_EQ(a.tier[t].admitRejected,
-                      b.tier[t].admitRejected)
-                << admissionPolicyName(policy) << " tier " << t;
-            EXPECT_EQ(a.tier[t].entries, b.tier[t].entries)
-                << admissionPolicyName(policy) << " tier " << t;
-        }
-    }
-}
-
-TEST(TieredStore, SingleFlightDecodesColdKeyOnce)
-{
-    TieredStoreConfig cfg;
-    cfg.tier0 = {8, 0};
-    TieredWindowStore store(cfg);
-    constexpr int kThreads = 8;
-    std::atomic<int> decodes{0};
-    std::atomic<int> arrived{0};
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t)
-        threads.emplace_back([&] {
-            arrived.fetch_add(1);
-            const auto h =
-                store.get(key(0, 0), 8, [&](SampleSpan out) {
-                    // Give the pack time to pile onto the latch;
-                    // correctness does not depend on the timing.
-                    decodes.fetch_add(1);
-                    while (arrived.load() < kThreads)
-                        std::this_thread::yield();
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(10));
-                    for (std::size_t i = 0; i < out.size(); ++i)
-                        out[i] = static_cast<double>(i);
-                    return out.size();
-                });
-            ASSERT_TRUE(h);
-            ASSERT_EQ(h.size(), 8u);
-        });
-    for (auto &t : threads)
-        t.join();
-
-    EXPECT_EQ(decodes.load(), 1);
-    const auto s = store.stats();
-    // Every thread lands in exactly one column: the leader is a
-    // miss; a waiter probes a miss, then latches and wakes to a
-    // duplicate avoided; a late arrival is a plain hit.
-    EXPECT_EQ(s.hits + s.duplicateDecodesAvoided,
-              static_cast<std::uint64_t>(kThreads - 1));
-    EXPECT_EQ(s.misses, 1u + s.duplicateDecodesAvoided);
-    EXPECT_GT(s.duplicateDecodesAvoided, 0u);
-}
-
-TEST(TieredStore, BitExactVsSingleTierAcrossPolicies)
-{
-    // The hierarchy is a placement policy, not a data path: every
-    // decoded window must be bit-identical to the flat store's, for
-    // every admission policy, even when tiny tiers force constant
-    // demotion and re-decode.
-    const auto dev = waveform::DeviceModel::ibm("bogota");
-    const auto lib = waveform::PulseLibrary::build(dev);
-    const auto clib = buildCompressed(lib);
-    const core::Decompressor dec;
-
-    const auto assemble = [&](TieredWindowStore &store) {
-        std::vector<double> all;
-        for (int pass = 0; pass < 2; ++pass)
-            for (const auto &[id, e] : clib.entries()) {
-                const core::CompressedChannel *chs[2] = {&e.cw.i,
-                                                         &e.cw.q};
-                for (std::uint8_t ch = 0; ch < 2; ++ch)
-                    for (std::uint32_t w = 0;
-                         w < chs[ch]->windows.size(); ++w) {
-                        const auto v = store.get(
-                            {id, ch, w}, chs[ch]->windowSize,
-                            [&](SampleSpan out) {
-                                return dec.decompressWindowInto(
-                                    *chs[ch], e.cw.codec, w, out);
-                            });
-                        all.insert(all.end(), v.samples().begin(),
-                                   v.samples().end());
-                    }
-            }
-        return all;
-    };
-
-    TieredWindowStore flat(1 << 14);
-    const auto golden = assemble(flat);
-    ASSERT_FALSE(golden.empty());
-    for (const auto policy :
-         {AdmissionPolicy::AdmitAlways, AdmissionPolicy::SecondTouch,
-          AdmissionPolicy::TinyLfu}) {
-        TieredStoreConfig cfg;
-        cfg.tier0 = {16, 0};
-        cfg.tier1 = {64, 0};
-        cfg.admission = policy;
-        TieredWindowStore tiered(cfg);
-        EXPECT_EQ(assemble(tiered), golden) << admissionPolicyName(policy);
-        const auto s = tiered.stats();
-        EXPECT_GT(s.tier[1].admitted + s.demotions, 0u)
-            << admissionPolicyName(policy) << ": tiers never engaged";
-    }
 }
 
 TEST(TieredStore, RegistryCountersTrackTierTraffic)
@@ -832,15 +475,14 @@ TEST(TieredStore, RegistryCountersTrackTierTraffic)
     const std::uint64_t rejected0 =
         reg.counter("cache.tier0.admit_rejected").value();
 
-    TieredStoreConfig cfg;
-    cfg.tier0 = {1, 0};
-    cfg.tier1 = {2, 0};
-    TieredWindowStore store(cfg);
-    CountingDecoder dec;
-    store.get(key(0, 0), 8, dec.fill(key(0, 0)));
-    store.get(key(1, 0), 8, dec.fill(key(1, 0))); // demotes A
-    store.get(key(0, 0), 8, dec.fill(key(0, 0))); // t1 hit, promotes
-    store.get(key(0, 0), 8, dec.fill(key(0, 0))); // t0 hit
+    TieredWindowStore store({1, 2, AdmissionPolicy::AdmitAlways});
+    store.access(key(0, 0), 8);
+    store.access(key(1, 0), 8); // demotes A
+    store.access(key(0, 0), 8); // t1 hit, promotes
+    store.access(key(0, 0), 8); // t0 hit
+    // Deltas reach the registry in batches, never per access.
+    EXPECT_EQ(reg.counter("cache.tier0.hit").value(), hit0);
+    store.publishMetrics();
     const auto s = store.stats();
 
     EXPECT_EQ(reg.counter("cache.tier0.hit").value() - hit0,
@@ -860,33 +502,44 @@ TEST(TieredStore, RegistryCountersTrackTierTraffic)
     EXPECT_GT(s.promotions, 0u);
 }
 
-TEST(TieredStore, StatsAccumulateAndDeltaRoundTrip)
+TEST(TieredStore, StatsAccumulateAdvanceAndDeltaRoundTrip)
 {
-    TieredStoreConfig cfg;
-    cfg.tier0 = {1, 0};
-    cfg.tier1 = {2, 0};
-    TieredWindowStore store(cfg);
-    CountingDecoder dec;
+    TieredWindowStore store({1, 2, AdmissionPolicy::AdmitAlways});
+    store.access(key(0, 0), 8);
     const auto before = store.stats();
-    store.get(key(0, 0), 8, dec.fill(key(0, 0)));
-    store.get(key(1, 0), 8, dec.fill(key(1, 0)));
-    store.get(key(0, 0), 8, dec.fill(key(0, 0)));
+    store.access(key(1, 0), 8);
+    store.access(key(0, 0), 8);
     const auto after = store.stats();
 
     const auto d = TieredStoreStats::delta(before, after);
-    EXPECT_EQ(d.hits, after.hits);
-    EXPECT_EQ(d.misses, after.misses);
-    EXPECT_EQ(d.entries, after.entries); // latches take the endpoint
+    EXPECT_EQ(d.hits, after.hits - before.hits);
+    EXPECT_EQ(d.misses, 1u);
+    EXPECT_EQ(d.tier1Accesses, after.tier1Accesses - before.tier1Accesses);
+    EXPECT_EQ(d.entries, after.entries); // residency takes the endpoint
     EXPECT_EQ(d.residentSamples, after.residentSamples);
 
+    // accumulate() folds disjoint models (shards, racks): everything
+    // sums, residency included.
     TieredStoreStats sum;
     sum.accumulate(after);
     sum.accumulate(after);
     EXPECT_EQ(sum.hits, 2 * after.hits);
     EXPECT_EQ(sum.tier[1].hits, 2 * after.tier[1].hits);
     EXPECT_EQ(sum.penaltyCycles, 2 * after.penaltyCycles);
-    EXPECT_EQ(sum.entries, after.entries);
-    EXPECT_EQ(sum.residentSamples, after.residentSamples);
+    EXPECT_EQ(sum.entries, 2 * after.entries);
+    EXPECT_EQ(sum.tier[1].residentSamples,
+              2 * after.tier[1].residentSamples);
+
+    // advance() folds successive deltas of one model: counters sum,
+    // residency is the latest.
+    TieredStoreStats run;
+    run.advance(before);
+    run.advance(d);
+    EXPECT_EQ(run.hits, after.hits);
+    EXPECT_EQ(run.misses, after.misses);
+    EXPECT_EQ(run.demotions, after.demotions);
+    EXPECT_EQ(run.entries, after.entries);
+    EXPECT_EQ(run.residentSamples, after.residentSamples);
 }
 
 // --------------------------------------------------------------- executor
@@ -1075,8 +728,7 @@ TEST_F(RackSurface49, TieredRackDemandMatchesFlatAtAnyWorkerCount)
     const auto base = ref.executeBatch(batch);
 
     for (const auto policy :
-         {AdmissionPolicy::AdmitAlways, AdmissionPolicy::SecondTouch,
-          AdmissionPolicy::TinyLfu}) {
+         {AdmissionPolicy::AdmitAlways, AdmissionPolicy::TinyLfu}) {
         for (const int workers : {1, 8}) {
             RackConfig rc = rackConfig(8, 256);
             rc.tier1Windows = 4096;
@@ -1114,6 +766,46 @@ TEST_F(RackSurface49, TieredRackDemandMatchesFlatAtAnyWorkerCount)
                           got.cache.demotions,
                       0u)
                 << tag;
+        }
+    }
+}
+
+TEST_F(RackSurface49, ModelCountersIndependentOfWorkerCount)
+{
+    // Each shard's column plays its circuits in batch order against
+    // the shard's own model, so every model counter is a pure
+    // function of the batch — on both back ends, at any worker count,
+    // even when a small tiered model evicts constantly.
+    const std::vector<circuits::Schedule> batch = {*sched_, *sched_,
+                                                   *sched_};
+    for (const bool compiled : {false, true}) {
+        std::vector<TieredStoreStats> runs;
+        for (const int workers : {1, 4}) {
+            RackConfig rc = rackConfig(4, 128);
+            rc.tier1Windows = 256;
+            rc.admission = AdmissionPolicy::TinyLfu;
+            const Rack rack(*dev_, *clib_, rc);
+            RuntimeService svc(rack, {.workers = workers});
+            TieredStoreStats sum;
+            for (int rep = 0; rep < 3; ++rep)
+                sum.advance(compiled ? svc.executeBatchCompiled(batch).cache
+                                     : svc.executeBatch(batch).cache);
+            runs.push_back(sum);
+        }
+        const auto &a = runs[0], &b = runs[1];
+        const char *tag = compiled ? "compiled" : "direct";
+        EXPECT_GT(a.evictions, 0u) << tag;
+        EXPECT_EQ(a.hits, b.hits) << tag;
+        EXPECT_EQ(a.misses, b.misses) << tag;
+        EXPECT_EQ(a.evictions, b.evictions) << tag;
+        EXPECT_EQ(a.promotions, b.promotions) << tag;
+        EXPECT_EQ(a.demotions, b.demotions) << tag;
+        EXPECT_EQ(a.prefetches, b.prefetches) << tag;
+        EXPECT_EQ(a.prefetchHits, b.prefetchHits) << tag;
+        EXPECT_EQ(a.prefetchWasted, b.prefetchWasted) << tag;
+        EXPECT_EQ(a.entries, b.entries) << tag;
+        if (compiled) {
+            EXPECT_GT(a.prefetches, 0u);
         }
     }
 }

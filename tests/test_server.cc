@@ -14,6 +14,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -481,6 +482,39 @@ TEST(FleetServer, RoutesTenantsAcrossRacksWithPerRackRollups)
     EXPECT_EQ(sum, s.completed);
     EXPECT_EQ(sum, static_cast<std::uint64_t>(kTenants * kJobs));
     EXPECT_EQ(gates, s.gatesPlayed);
+}
+
+TEST(FleetServer, ModelResidencySumsOverRacks)
+{
+    // ServerStats::cache residency is the sum of every rack's latest
+    // model snapshot, not the last dispatching rack's: two racks that
+    // each played schedA hold schedA's windows twice over.
+    const FleetFixture fx;
+    const Rack refRack(fx.dev, fx.libA, fx.fleetRackConfig());
+    RuntimeService ref(refRack, {.workers = 1});
+    const TieredStoreStats one = ref.execute(fx.schedA).cache;
+    ASSERT_GT(one.entries, 0u);
+
+    FleetConfig fc;
+    fc.racks = 2;
+    fc.rack = fx.fleetRackConfig();
+    fc.workers = 1;
+    Server server(fx.dev, fx.libA, fc);
+    // Distinct tenants hash to both racks.
+    std::set<int> racks;
+    for (int i = 0; i < 64 && racks.size() < 2; ++i) {
+        const auto r =
+            server.submit({"tenant-" + std::to_string(i), fx.schedA})
+                .get();
+        ASSERT_EQ(r.status, JobStatus::Completed);
+        racks.insert(r.rack);
+    }
+    ASSERT_EQ(racks.size(), 2u);
+    server.drain();
+    const auto s = server.stats();
+    EXPECT_EQ(s.cache.entries, 2 * one.entries);
+    EXPECT_EQ(s.cache.residentSamples, 2 * one.residentSamples);
+    EXPECT_EQ(s.cache.tier[0].entries, 2 * one.entries);
 }
 
 TEST(FleetServer, LeastLoadedRoutingCompletesEverything)
