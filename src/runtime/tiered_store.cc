@@ -14,25 +14,6 @@ namespace compaqt::runtime
 namespace
 {
 
-/** 64-bit hash of a window key: three independent multiplies, then
- *  a fold so the low bits (index slot) see the high product bits. */
-std::uint64_t
-hashKey(const DecodedWindowKey &k)
-{
-    const auto q = [](int v) {
-        return static_cast<std::uint64_t>(static_cast<std::uint32_t>(v) &
-                                          0xFFFFFFu);
-    };
-    const std::uint64_t gate = static_cast<std::uint64_t>(k.gate.type)
-                                   << 56 |
-                               q(k.gate.q0) << 32 | q(k.gate.q1) << 8 |
-                               k.channel;
-    const std::uint64_t h = gate * 0x9E3779B97F4A7C15ull ^
-                            k.window * 0xC2B2AE3D27D4EB4Full ^
-                            k.libVersion * 0x165667B19E3779F9ull;
-    return h ^ h >> 29;
-}
-
 /** Apply `op` to every counter of `s` paired with `o`'s (residency
  *  fields excluded). */
 template <typename Op>
@@ -104,6 +85,25 @@ TieredStoreStats::delta(const TieredStoreStats &before,
     return d;
 }
 
+/** Three independent multiplies, then a fold so the low bits (bucket
+ *  and sketch slots) see the high product bits. */
+std::size_t
+TieredWindowStore::KeyHash::operator()(const DecodedWindowKey &k) const
+{
+    const auto q = [](int v) {
+        return static_cast<std::uint64_t>(static_cast<std::uint32_t>(v) &
+                                          0xFFFFFFu);
+    };
+    const std::uint64_t gate = static_cast<std::uint64_t>(k.gate.type)
+                                   << 56 |
+                               q(k.gate.q0) << 32 | q(k.gate.q1) << 8 |
+                               k.channel;
+    const std::uint64_t h = gate * 0x9E3779B97F4A7C15ull ^
+                            k.window * 0xC2B2AE3D27D4EB4Full ^
+                            k.libVersion * 0x165667B19E3779F9ull;
+    return h ^ h >> 29;
+}
+
 TieredWindowStore::TieredWindowStore(const TieredStoreConfig &cfg)
     : cfg_(cfg)
 {
@@ -119,7 +119,7 @@ TieredWindowStore::TieredWindowStore(const TieredStoreConfig &cfg)
         entries_[e].next = e + 1 == n ? kNil : e + 1;
     }
     lists_[kFree] = {0, n - 1, n, 0};
-    index_.assign(std::bit_ceil(entries_.size() * 2), 0);
+    index_.reserve(entries_.size());
     // ~4 counters per tracked tier-0 window keeps estimates usable at
     // 4-bit saturation.
     if (cfg_.admission == AdmissionPolicy::TinyLfu)
@@ -135,7 +135,7 @@ TieredWindowStore::sketchAdd(const DecodedWindowKey &key)
 {
     if (sketch_.empty())
         return;
-    const std::uint64_t h = hashKey(key);
+    const std::uint64_t h = KeyHash{}(key);
     for (std::uint64_t i = 0; i < 4; ++i) {
         std::uint8_t &c = sketch_[(h + i * (h >> 32 | 1)) &
                                   (sketch_.size() - 1)];
@@ -151,7 +151,7 @@ TieredWindowStore::sketchAdd(const DecodedWindowKey &key)
 std::uint32_t
 TieredWindowStore::sketchEstimate(const DecodedWindowKey &key) const
 {
-    const std::uint64_t h = hashKey(key);
+    const std::uint64_t h = KeyHash{}(key);
     std::uint32_t best = 15;
     for (std::uint64_t i = 0; i < 4; ++i)
         best = std::min<std::uint32_t>(
@@ -163,37 +163,8 @@ TieredWindowStore::sketchEstimate(const DecodedWindowKey &key) const
 std::uint32_t
 TieredWindowStore::find(const DecodedWindowKey &key) const
 {
-    if (index_.empty())
-        return kNil;
-    const std::uint64_t h = hashKey(key) >> 32;
-    const std::uint64_t mask = index_.size() - 1;
-    for (std::uint64_t i = h & mask; index_[i] != 0; i = (i + 1) & mask) {
-        const auto e = static_cast<std::uint32_t>(index_[i] - 1);
-        if (index_[i] >> 32 == h && entries_[e].key == key)
-            return e;
-    }
-    return kNil;
-}
-
-void
-TieredWindowStore::indexErase(std::uint32_t e)
-{
-    const std::uint64_t mask = index_.size() - 1;
-    std::uint64_t i = (hashKey(entries_[e].key) >> 32) & mask;
-    while (static_cast<std::uint32_t>(index_[i] - 1) != e)
-        i = (i + 1) & mask;
-    // Backshift deletion: pull back every later member of the probe
-    // chain whose ideal slot lies outside (i, j], so no chain breaks.
-    index_[i] = 0;
-    for (std::uint64_t j = (i + 1) & mask; index_[j] != 0;
-         j = (j + 1) & mask) {
-        const std::uint64_t ideal = (index_[j] >> 32) & mask;
-        if (i <= j ? ideal <= i || ideal > j : ideal <= i && ideal > j) {
-            index_[i] = index_[j];
-            index_[j] = 0;
-            i = j;
-        }
-    }
+    const auto it = index_.find(key);
+    return it == index_.end() ? kNil : it->second;
 }
 
 void
@@ -246,12 +217,10 @@ TieredWindowStore::access(const DecodedWindowKey &first,
                           std::size_t window_size,
                           std::uint32_t count)
 {
-    const bool lfu = cfg_.admission == AdmissionPolicy::TinyLfu;
     const std::uint32_t end = first.window + count;
     std::uint32_t hits = 0;
     for (DecodedWindowKey key = first; key.window < end;) {
-        if (lfu)
-            sketchAdd(key);
+        sketchAdd(key);
         const std::uint32_t e = find(key);
         if (e == kNil) {
             miss(key, window_size);
@@ -266,9 +235,11 @@ TieredWindowStore::access(const DecodedWindowKey &first,
             // recorded run moves as one block, the order per-window
             // moves would leave.
             n = entries_[e].runLen;
-            if (n == 0 || n > end - key.window || lfu)
-                n = recordRun(e, key, end, lfu);
+            if (n == 0 || n > end - key.window)
+                n = recordRun(e, key, end);
             runToHead(entries_[e].runHead, e);
+            for (DecodedWindowKey k = key; ++k.window < key.window + n;)
+                sketchAdd(k);
             stats_.hits += n;
             stats_.tier[0].hits += n;
         }
@@ -280,15 +251,13 @@ TieredWindowStore::access(const DecodedWindowKey &first,
 
 std::uint32_t
 TieredWindowStore::recordRun(std::uint32_t first, DecodedWindowKey key,
-                             std::uint32_t end, bool lfu)
+                             std::uint32_t end)
 {
     // Windows played in this order before sit just ahead of `first`:
     // follow them while they hold the next windows.
     std::uint32_t head = first;
     std::uint32_t n = 0;
     for (;;) {
-        if (lfu && n > 0)
-            sketchAdd(entries_[head].key);
         claim(head);
         breakRun(head);
         entries_[head].run = first;
@@ -381,12 +350,7 @@ TieredWindowStore::insert(const DecodedWindowKey &key,
     en.touched = false;
     en.prefetched = prefetched;
     moveTo(e, tier);
-    const std::uint64_t h = hashKey(key) >> 32;
-    const std::uint64_t mask = index_.size() - 1;
-    std::uint64_t i = h & mask;
-    while (index_[i] != 0)
-        i = (i + 1) & mask;
-    index_[i] = h << 32 | (e + 1);
+    index_.emplace(key, e);
     if (prefetched)
         ++stats_.prefetches;
     ++stats_.tier[tier].admitted;
@@ -474,7 +438,7 @@ TieredWindowStore::drop(std::uint32_t e)
                               "window", en.key.window, "channel",
                               en.key.channel);
     }
-    indexErase(e);
+    index_.erase(en.key);
     moveTo(e, kFree);
 }
 

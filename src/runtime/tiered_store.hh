@@ -26,6 +26,7 @@
 
 #include <array>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "waveform/library.hh"
@@ -219,7 +220,9 @@ class TieredWindowStore
         std::uint32_t runHead = kNil;
     };
 
-    /** Doubly linked list over entries_, most recent first. */
+    /** Doubly linked list over entries_, most recent first. A
+     *  recorded run moves to the head as one O(1) splice; std::list's
+     *  range splice would walk the run to count it. */
     struct List
     {
         std::uint32_t head = kNil;
@@ -241,9 +244,13 @@ class TieredWindowStore
         return t == 0 ? cfg_.tier0Windows : cfg_.tier1Windows;
     }
 
+    struct KeyHash
+    {
+        std::size_t operator()(const DecodedWindowKey &k) const;
+    };
+
     /** Entry index of `key`, or kNil. */
     std::uint32_t find(const DecodedWindowKey &key) const;
-    void indexErase(std::uint32_t e);
     /** Move one tag to the head of `list`, breaking its run. */
     void moveTo(std::uint32_t e, std::uint8_t list);
     /** Move the run first..last of list 0 (head side first) to the
@@ -253,7 +260,7 @@ class TieredWindowStore
     /** Verify, record and return the length of the run of tier-0
      *  hits from `first` (window `key`) up to window `end`. */
     std::uint32_t recordRun(std::uint32_t first, DecodedWindowKey key,
-                            std::uint32_t end, bool lfu);
+                            std::uint32_t end);
     void claim(std::uint32_t e);
     void hitTier1(std::uint32_t e);
     void miss(const DecodedWindowKey &key, std::size_t window_size);
@@ -277,10 +284,8 @@ class TieredWindowStore
     std::vector<Entry> entries_;
     /** Tier 0, tier 1 and the free entries. */
     std::array<List, 3> lists_;
-    /** Open-addressed index, linear probing with backshift deletion,
-     *  at most half full: (32-bit key hash << 32 | entry + 1), 0 =
-     *  empty. */
-    std::vector<std::uint64_t> index_;
+    /** Entry of every resident tag. */
+    std::unordered_map<DecodedWindowKey, std::uint32_t, KeyHash> index_;
     /** Sketch counters (empty unless TinyLfu); all are halved every
      *  8 table sizes of adds (aging). */
     std::vector<std::uint8_t> sketch_;

@@ -234,8 +234,7 @@ struct RangeTrace
 
 TEST(TieredStore, MatchesReferenceLruOnRandomTrace)
 {
-    // The open-addressed index (backshift deletion included), the
-    // intrusive LRU lists and the recorded-run block moves must
+    // The intrusive LRU lists and the recorded-run block moves must
     // behave exactly like a textbook per-window LRU.
     constexpr std::size_t kCapacity = 17;
     TieredWindowStore store(kCapacity);
