@@ -29,13 +29,20 @@ CompressedChannel::numWindows() const
 std::size_t
 CompressedChannel::windowSamples(std::size_t w) const
 {
+    return rangeSamples(w, 1);
+}
+
+std::size_t
+CompressedChannel::rangeSamples(std::size_t first,
+                                std::size_t count) const
+{
     // Clamp both ends: a channel whose window count is inconsistent
     // with numSamples (corrupt stream) yields zero-length windows
     // rather than underflowing.
-    const std::size_t begin = w * windowSize;
-    return begin < numSamples ? std::min(windowSize,
-                                         numSamples - begin)
-                              : 0;
+    const std::size_t begin = first * windowSize;
+    return begin < numSamples
+               ? std::min(count * windowSize, numSamples - begin)
+               : 0;
 }
 
 std::size_t
@@ -87,23 +94,14 @@ const AdaptiveSegment &
 CompressedChannel::segmentForWindow(std::size_t w,
                                     std::size_t &local) const
 {
-    COMPAQT_REQUIRE(isAdaptive() && windowSize > 0,
-                    "segmentForWindow needs an adaptive channel");
-    COMPAQT_REQUIRE(w < numWindows(), "window index out of range");
-    std::size_t begin = 0; // first global window of the segment
-    for (const auto &seg : segments) {
-        // Every segment but the last covers a whole number of
-        // windows (boundaries are window-aligned by construction).
-        const std::size_t span =
-            (seg.samples() + windowSize - 1) / windowSize;
-        if (w < begin + span) {
-            local = w - begin;
-            return seg;
-        }
-        begin += span;
-    }
-    COMPAQT_PANIC("adaptive segments cover fewer windows than "
-                  "numSamples implies");
+    const AdaptiveSegment *found = nullptr;
+    forEachSegmentRun(w, 1,
+                      [&](const AdaptiveSegment &seg, std::size_t l,
+                          std::size_t, std::size_t) {
+                          found = &seg;
+                          local = l;
+                      });
+    return *found;
 }
 
 dsp::CompressionStats

@@ -33,6 +33,7 @@
 #ifndef COMPAQT_CORE_CODEC_HH
 #define COMPAQT_CORE_CODEC_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -44,6 +45,7 @@
 #include <vector>
 
 #include "common/arena.hh"
+#include "common/logging.hh"
 #include "dsp/delta.hh"
 #include "dsp/metrics.hh"
 #include "waveform/shapes.hh"
@@ -124,6 +126,11 @@ struct CompressedChannel
      *  the clamped tail window. @pre w < numWindows() */
     std::size_t windowSamples(std::size_t w) const;
 
+    /** Decoded sample count of windows [first, first + count): the
+     *  sum of their windowSamples(), in O(1). */
+    std::size_t rangeSamples(std::size_t first,
+                             std::size_t count) const;
+
     /** Total memory words across windows (sample-word equivalents of
      *  the bit-level encoding for delta channels; one codeword per
      *  flat segment for adaptive channels). */
@@ -147,6 +154,20 @@ struct CompressedChannel
      */
     const AdaptiveSegment &segmentForWindow(std::size_t w,
                                             std::size_t &local) const;
+
+    /**
+     * Visit, in order, the maximal runs of global windows
+     * [first, first + count) of an adaptive channel that share one
+     * segment: `f(seg, local, global, run)` gets the segment, the
+     * run's first window local to the segment's sub-channel and its
+     * first global window, and the run length. Costs O(segments)
+     * per call, however long the range. Panics when the segments
+     * cover fewer windows than numSamples implies.
+     * @pre isAdaptive() && first + count <= numWindows()
+     */
+    template <typename F>
+    void forEachSegmentRun(std::size_t first, std::size_t count,
+                           F &&f) const;
 
     dsp::CompressionStats stats() const;
 };
@@ -176,6 +197,37 @@ struct AdaptiveSegment
         return isFlat ? count : windows.numSamples;
     }
 };
+
+template <typename F>
+void
+CompressedChannel::forEachSegmentRun(std::size_t first,
+                                     std::size_t count, F &&f) const
+{
+    COMPAQT_REQUIRE(isAdaptive() && windowSize > 0,
+                    "segment walk needs an adaptive channel");
+    const std::size_t nwin = numWindows();
+    COMPAQT_REQUIRE(first <= nwin && count <= nwin - first,
+                    "window index out of range");
+    const std::size_t end = first + count;
+    std::size_t begin = 0; // first global window of the segment
+    for (const auto &seg : segments) {
+        if (first == end)
+            return;
+        // Every segment but the last covers a whole number of
+        // windows (boundaries are window-aligned by construction).
+        const std::size_t segEnd =
+            begin + (seg.samples() + windowSize - 1) / windowSize;
+        if (first < segEnd) {
+            const std::size_t run = std::min(end, segEnd) - first;
+            f(seg, first - begin, first, run);
+            first += run;
+        }
+        begin = segEnd;
+    }
+    if (first != end)
+        COMPAQT_PANIC("adaptive segments cover fewer windows than "
+                      "numSamples implies");
+}
 
 /**
  * A fully compressed I/Q waveform, tagged with the registry name of

@@ -96,17 +96,6 @@ emitPlays(InstructionProgram &prog, const Issued &e,
     } while (first < nwin);
 }
 
-/** True when window `w` of a channel occupies a cache slot when
- *  played (flat bypass windows never do). */
-bool
-windowIsCacheable(const core::CompressedChannel &ch, std::uint32_t w)
-{
-    if (!ch.isAdaptive())
-        return true;
-    std::size_t local = 0;
-    return !ch.segmentForWindow(w, local).isFlat;
-}
-
 } // namespace
 
 Compiler::Compiler(const runtime::Rack &rack, const CompilerConfig &cfg)
@@ -251,10 +240,26 @@ Compiler::compileShard(const circuits::Schedule &part,
             for (std::uint8_t ch = 0; ch < 2; ++ch) {
                 const auto &channel =
                     ch == 0 ? e.entry->cw.i : e.entry->cw.q;
-                for (std::uint32_t w = 0; w < e.nwin[ch]; ++w)
-                    if (windowIsCacheable(channel, w))
-                        items.push_back(
-                            {i, e.issue, e.ref, ch, w, tier, false});
+                // Flat bypass windows never enter the model; every
+                // other window is a candidate.
+                const auto push = [&](std::size_t first,
+                                      std::size_t count) {
+                    for (std::size_t w = first; w < first + count; ++w)
+                        items.push_back({i, e.issue, e.ref, ch,
+                                         static_cast<std::uint32_t>(w),
+                                         tier, false});
+                };
+                if (!channel.isAdaptive()) {
+                    push(0, e.nwin[ch]);
+                    continue;
+                }
+                channel.forEachSegmentRun(
+                    0, e.nwin[ch],
+                    [&](const core::AdaptiveSegment &seg, std::size_t,
+                        std::size_t global, std::size_t run) {
+                        if (!seg.isFlat)
+                            push(global, run);
+                    });
             }
         }
     }

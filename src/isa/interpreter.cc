@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "telemetry/trace.hh"
 
@@ -11,17 +12,20 @@ namespace compaqt::isa
 namespace
 {
 
+/** The library entry behind gate-table slot `ref` of the per-run
+ *  resolution (a null slot: the pinned library lacks the gate). */
 const core::CompressedEntry &
-resolveGate(const runtime::VersionedLibrary &vlib,
-            const InstructionProgram &prog, std::uint16_t ref)
+resolved(const std::vector<const core::CompressedEntry *> &entries,
+         std::uint16_t ref)
 {
-    const waveform::GateId &id = prog.gate(ref);
-    const core::CompressedEntry *entry = vlib.find(id);
-    if (!entry)
+    if (ref >= entries.size())
+        throw std::invalid_argument(
+            "isa: gate reference past the program's gate table");
+    if (!entries[ref])
         throw std::invalid_argument(
             "isa: program references a gate the pinned library does"
             " not hold");
-    return *entry;
+    return *entries[ref];
 }
 
 } // namespace
@@ -42,6 +46,11 @@ Interpreter::run(const InstructionProgram &prog)
             " but the interpreter is pinned to version " +
             std::to_string(vlib_.version) +
             " — recompile after the hot-swap");
+    // Resolve the gate table against the pinned library once; a
+    // missing gate throws only when an op that uses it executes.
+    entries_.clear();
+    for (const waveform::GateId &id : prog.gateTable())
+        entries_.push_back(vlib_.find(id));
     InterpreterResult res;
     // Per-op dwell tracing: the enable flag is read once per run (a
     // mid-run toggle catches the next program), so the disabled-path
@@ -61,9 +70,9 @@ Interpreter::run(const InstructionProgram &prog)
         switch (in.op) {
         case Opcode::Play: {
             ++res.stats.plays;
-            const waveform::GateId &id = prog.gate(in.gateRef);
             const core::CompressedEntry &entry =
-                resolveGate(vlib_, prog, in.gateRef);
+                resolved(entries_, in.gateRef);
+            const waveform::GateId &id = prog.gate(in.gateRef);
             const std::uint32_t first = in.playFirst();
             std::uint32_t count = in.playCount();
             // The event's I-channel PLAY (first chunk) carries the
@@ -126,9 +135,9 @@ Interpreter::run(const InstructionProgram &prog)
             res.stats.idleCycles += in.arg;
             break;
         case Opcode::Prefetch: {
-            const waveform::GateId &id = prog.gate(in.gateRef);
             const core::CompressedEntry &entry =
-                resolveGate(vlib_, prog, in.gateRef);
+                resolved(entries_, in.gateRef);
+            const waveform::GateId &id = prog.gate(in.gateRef);
             // A no-op when the window is resident (a tier-0 hint may
             // still have promoted it), flat, or there is no model.
             if (player_.prefetchWindow(id, entry, in.channel,

@@ -15,6 +15,7 @@
 #define COMPAQT_ISA_INTERPRETER_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "isa/isa.hh"
 #include "runtime/playback.hh"
@@ -89,16 +90,20 @@ class Interpreter
      *         version stamp names a calibration other than the
      *         pinned one (an unstamped program — version 0 — is
      *         accepted, matching pre-stamp streams), or when a
-     *         PLAY/PREFETCH references a gate the pinned library
-     *         does not hold — programs are compiled against a
-     *         concrete library, so a mismatch is a corrupt, stale,
-     *         or misrouted program, not a soft miss
+     *         PLAY/PREFETCH executes that references a gate the
+     *         pinned library does not hold or a slot past the gate
+     *         table — programs are compiled against a concrete
+     *         library, so a mismatch is a corrupt, stale, or
+     *         misrouted program, not a soft miss. The gate table is
+     *         resolved against the library once per run.
      */
     InterpreterResult run(const InstructionProgram &prog);
 
   private:
     runtime::VersionedLibrary vlib_;
     runtime::WindowPlayer player_;
+    /** The running program's gate table resolved against vlib_. */
+    std::vector<const core::CompressedEntry *> entries_;
 };
 
 } // namespace compaqt::isa

@@ -14,35 +14,48 @@ WindowPlayer::playWindows(const waveform::GateId &id,
     const auto &cw = entry.cw;
     const core::CompressedChannel &channel = ch == 0 ? cw.i : cw.q;
     const std::size_t ws = channel.windowSize;
-    const std::uint32_t end = first + count;
+    if (scratch_.size() < ws * kBatchWindows)
+        scratch_.resize(ws * kBatchWindows);
+    const SampleSpan scratch(scratch_.data(), scratch_.size());
 
     if (channel.isAdaptive()) {
-        // Adaptive channels keep the per-window loop: flat windows
-        // are constant fills that bypass both the IDCT and the model,
-        // and the per-window bypassed accounting has no batch
-        // equivalent. One codec-instance resolution per range; the
-        // loop dispatches straight to the span primitive.
+        // Adaptive channels play a segment run at a time. A flat run
+        // is one constant served through the IDCT bypass: its samples
+        // are still produced, but it never enters the model and its
+        // tallies are arithmetic on the window grid. A ramp run is one
+        // range access and batch decodes on the segment's sub-channel.
         const core::ICodec &codec = dec_.resolve(cw.codec, ws);
-        if (scratch_.size() < ws)
-            scratch_.resize(ws);
-        for (std::uint32_t w = first; w < end; ++w) {
-            std::size_t local = 0;
-            const core::AdaptiveSegment &seg =
-                channel.segmentForWindow(w, local);
-            if (seg.isFlat) {
-                const std::size_t len = channel.windowSamples(w);
-                std::fill_n(scratch_.begin(), len, seg.value);
-                c.samples += len;
-                c.bypassed += len;
-                ++c.windows;
-                continue;
-            }
-            if (store_)
-                store_->access({id, ch, w, libVersion_}, ws);
-            c.samples += codec.decompressWindowInto(
-                seg.windows, local, SampleSpan(scratch_.data(), ws));
-            ++c.windows;
-        }
+        channel.forEachSegmentRun(
+            first, count,
+            [&](const core::AdaptiveSegment &seg, std::size_t local,
+                std::size_t global, std::size_t run) {
+                c.windows += run;
+                if (seg.isFlat) {
+                    const std::size_t len =
+                        channel.rangeSamples(global, run);
+                    for (std::size_t done = 0; done < len;) {
+                        const std::size_t n =
+                            std::min(len - done, scratch.size());
+                        std::fill_n(scratch.begin(), n, seg.value);
+                        done += n;
+                    }
+                    c.samples += len;
+                    c.bypassed += len;
+                    return;
+                }
+                if (store_)
+                    store_->access(
+                        {id, ch, static_cast<std::uint32_t>(global),
+                         libVersion_},
+                        ws, static_cast<std::uint32_t>(run));
+                for (std::size_t done = 0; done < run;) {
+                    const std::size_t k = std::min<std::size_t>(
+                        kBatchWindows, run - done);
+                    c.samples += codec.decodeWindowsInto(
+                        seg.windows, local + done, k, scratch);
+                    done += k;
+                }
+            });
         return;
     }
 
@@ -50,13 +63,11 @@ WindowPlayer::playWindows(const waveform::GateId &id,
         store_->access({id, ch, first, libVersion_}, ws, count);
     // Stream the range through the batch decode primitive in
     // kBatchWindows chunks.
-    if (scratch_.size() < ws * kBatchWindows)
-        scratch_.resize(ws * kBatchWindows);
+    const std::uint32_t end = first + count;
     for (std::uint32_t w = first; w < end;) {
         const auto run = std::min<std::uint32_t>(kBatchWindows, end - w);
-        c.samples += dec_.decodeWindowsInto(
-            channel, cw.codec, w, run,
-            SampleSpan(scratch_.data(), scratch_.size()));
+        c.samples +=
+            dec_.decodeWindowsInto(channel, cw.codec, w, run, scratch);
         c.windows += run;
         w += run;
     }

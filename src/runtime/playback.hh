@@ -2,10 +2,14 @@
  * @file
  * The one window-playback loop both execution back ends share:
  * decode a range of windows of one gate channel straight into reused
- * scratch through the batch decode primitive, with adaptive flat
- * windows served as constant fills through the IDCT bypass. Every
- * window is decoded; a shard's waveform-memory model, when the
- * player has one, only records each access as a tag.
+ * scratch through the batch decode primitive. Adaptive flat-top
+ * channels play a segment run at a time, so a range costs
+ * O(segments + windows decoded): a flat run is one constant served
+ * through the IDCT bypass, a ramp run is batch-decoded from its
+ * segment's sub-channel. Every plain and ramp window is decoded; a
+ * shard's waveform-memory model, when the player has one, only
+ * records one range access per plain range or ramp run, as tags
+ * (flat windows are never held).
  *
  * RuntimeService's direct schedule-walking path and the
  * instruction-stream interpreter (isa::Interpreter) both play

@@ -602,6 +602,71 @@ TEST(IsaExecution, CompiledMatchesDirectOnTieredRacks)
     }
 }
 
+TEST(IsaExecution, CompiledMatchesDirectOnAdaptiveRack)
+{
+    // A library planned with adaptive flat-top channels through both
+    // back ends, per job, at 1 and N workers: flat runs are bypass
+    // fills and ramp runs the same range accesses on either side, so
+    // with prefetch off the model counters match too.
+    const auto dev = waveform::DeviceModel::ibm("bogota");
+    const auto lib = waveform::PulseLibrary::build(dev);
+    const auto compiled = core::CompressionPipeline::with("int-dct")
+                              .window(16)
+                              .mseTarget(1e-5)
+                              .planAdaptive()
+                              .workers(2)
+                              .build()
+                              .compileLibrary(lib);
+    ASSERT_GT(compiled.stats.adaptiveChannels, 0u);
+    const auto &clib = compiled.library;
+    const auto sched = deviceWorkload(dev);
+    const std::vector<circuits::Schedule> batch = {sched, sched};
+    CompilerConfig noPrefetch;
+    noPrefetch.emitPrefetch = false;
+
+    for (const int workers : {1, 4}) {
+        const std::string tag = "workers " + std::to_string(workers);
+        // 64 windows a rack: small enough that the model evicts.
+        const runtime::Rack directRack(dev, clib,
+                                       rackConfig(clib, 2, 64));
+        const runtime::Rack compiledRack(dev, clib,
+                                         rackConfig(clib, 2, 64));
+        runtime::RuntimeService dsvc(directRack, {.workers = workers});
+        runtime::RuntimeService csvc(compiledRack,
+                                     {.workers = workers});
+        const auto d = dsvc.executeBatchPerJob(batch);
+        const auto c = csvc.executeBatchCompiledPerJob(batch, noPrefetch);
+        ASSERT_GT(d.total.totalBypassSamples, 0u) << tag;
+        expectIdenticalStats(d.total, c.total, tag.c_str());
+        ASSERT_EQ(d.jobs.size(), c.jobs.size()) << tag;
+        for (std::size_t j = 0; j < d.jobs.size(); ++j)
+            expectIdenticalStats(d.jobs[j], c.jobs[j], tag.c_str());
+        const auto &x = d.total.cache, &y = c.total.cache;
+        EXPECT_GT(x.evictions, 0u) << tag;
+        EXPECT_EQ(x.hits, y.hits) << tag;
+        EXPECT_EQ(x.misses, y.misses) << tag;
+        EXPECT_EQ(x.evictions, y.evictions) << tag;
+        EXPECT_EQ(x.entries, y.entries) << tag;
+        EXPECT_EQ(x.residentSamples, y.residentSamples) << tag;
+        EXPECT_EQ(x.prefetches, y.prefetches) << tag;
+        EXPECT_EQ(x.prefetchHits, y.prefetchHits) << tag;
+        EXPECT_EQ(x.prefetchWasted, y.prefetchWasted) << tag;
+        EXPECT_EQ(x.promotions, y.promotions) << tag;
+        EXPECT_EQ(x.demotions, y.demotions) << tag;
+        EXPECT_EQ(x.tier1Accesses, y.tier1Accesses) << tag;
+        EXPECT_EQ(x.tier[0].admitted, y.tier[0].admitted) << tag;
+        EXPECT_EQ(x.tier[0].evictions, y.tier[0].evictions) << tag;
+
+        // Prefetch on: the hints skip flat windows, and every
+        // deterministic field still matches.
+        const runtime::Rack hinted(dev, clib, rackConfig(clib, 2, 64));
+        runtime::RuntimeService hsvc(hinted, {.workers = workers});
+        const auto h = hsvc.executeBatchCompiledPerJob(batch);
+        expectIdenticalStats(d.total, h.total, tag.c_str());
+        EXPECT_GT(h.total.prefetchesIssued, 0u) << tag;
+    }
+}
+
 TEST(IsaExecution, UncompressedBaselineRunsIdenticallyCompiled)
 {
     const auto dev = waveform::DeviceModel::ibm("bogota");
@@ -767,6 +832,17 @@ TEST(IsaExecution, InterpreterRejectsForeignPrograms)
     prog.emit(Instruction::halt());
     Interpreter interp(rack);
     EXPECT_THROW(interp.run(prog), std::invalid_argument);
+    // The table is resolved once per run, but only the op that uses a
+    // foreign gate fails: an unplayed slot is harmless.
+    InstructionProgram unplayed;
+    unplayed.internGate({waveform::GateType::X, 99, -1});
+    unplayed.emit(Instruction::halt());
+    EXPECT_NO_THROW(interp.run(unplayed));
+    // A reference past the gate table is rejected, not read.
+    InstructionProgram past;
+    past.emit(Instruction::play(3, 0, 0, 1));
+    past.emit(Instruction::halt());
+    EXPECT_THROW(interp.run(past), std::invalid_argument);
 }
 
 TEST(IsaProgram, WordStreamCarriesLibraryVersionStamp)

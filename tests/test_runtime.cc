@@ -15,14 +15,17 @@
 #include <list>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "circuits/scheduler.hh"
 #include "circuits/surface_code.hh"
+#include "core/adaptive.hh"
 #include "core/decompressor.hh"
 #include "core/pipeline.hh"
 #include "dsp/int_dct.hh"
 #include "common/executor.hh"
+#include "runtime/playback.hh"
 #include "runtime/rack.hh"
 #include "runtime/service.hh"
 #include "runtime/tiered_store.hh"
@@ -1079,6 +1082,173 @@ TEST(RackAdaptive, ControllerPlaybackMatchesGoldenDecoder)
                 << waveform::toString(id) << " sample " << k;
     }
     EXPECT_TRUE(sawAdaptive);
+}
+
+/** Every counter and residency field of two model snapshots. */
+void
+expectSameModel(const TieredStoreStats &a, const TieredStoreStats &b,
+                const std::string &tag)
+{
+    EXPECT_EQ(a.hits, b.hits) << tag;
+    EXPECT_EQ(a.misses, b.misses) << tag;
+    EXPECT_EQ(a.evictions, b.evictions) << tag;
+    EXPECT_EQ(a.prefetches, b.prefetches) << tag;
+    EXPECT_EQ(a.prefetchHits, b.prefetchHits) << tag;
+    EXPECT_EQ(a.prefetchWasted, b.prefetchWasted) << tag;
+    EXPECT_EQ(a.entries, b.entries) << tag;
+    EXPECT_EQ(a.residentSamples, b.residentSamples) << tag;
+    EXPECT_EQ(a.promotions, b.promotions) << tag;
+    EXPECT_EQ(a.demotions, b.demotions) << tag;
+    EXPECT_EQ(a.tier1Accesses, b.tier1Accesses) << tag;
+    EXPECT_EQ(a.penaltyCycles, b.penaltyCycles) << tag;
+    for (std::size_t t = 0; t < 2; ++t) {
+        EXPECT_EQ(a.tier[t].hits, b.tier[t].hits) << tag;
+        EXPECT_EQ(a.tier[t].misses, b.tier[t].misses) << tag;
+        EXPECT_EQ(a.tier[t].evictions, b.tier[t].evictions) << tag;
+        EXPECT_EQ(a.tier[t].admitted, b.tier[t].admitted) << tag;
+        EXPECT_EQ(a.tier[t].admitRejected, b.tier[t].admitRejected)
+            << tag;
+        EXPECT_EQ(a.tier[t].entries, b.tier[t].entries) << tag;
+        EXPECT_EQ(a.tier[t].residentSamples, b.tier[t].residentSamples)
+            << tag;
+    }
+}
+
+/** The per-window playback reference: locate each window's segment,
+ *  fill a flat window through the bypass, or record one model access
+ *  and decode one ramp window. */
+PlaybackCounters
+perWindowPlay(const waveform::GateId &id, const core::CompressedEntry &e,
+              std::uint8_t ch, std::uint32_t first, std::uint32_t count,
+              TieredWindowStore &store, std::uint64_t version)
+{
+    const core::CompressedChannel &channel = ch == 0 ? e.cw.i : e.cw.q;
+    const std::size_t ws = channel.windowSize;
+    const core::Decompressor dec;
+    const core::ICodec &codec = dec.resolve(e.cw.codec, ws);
+    std::vector<double> buf(ws);
+    PlaybackCounters c;
+    for (std::uint32_t w = first; w < first + count; ++w) {
+        std::size_t local = 0;
+        const core::AdaptiveSegment &seg =
+            channel.segmentForWindow(w, local);
+        ++c.windows;
+        if (seg.isFlat) {
+            const std::size_t len = channel.windowSamples(w);
+            std::fill_n(buf.begin(), len, seg.value);
+            c.samples += len;
+            c.bypassed += len;
+            continue;
+        }
+        store.access({id, ch, w, version}, ws, 1);
+        c.samples += codec.decompressWindowInto(
+            seg.windows, local, SampleSpan(buf.data(), ws));
+    }
+    return c;
+}
+
+TEST(RackAdaptive, PlayWindowsMatchesPerWindowOracle)
+{
+    // Segment-run playback of adaptive channels tallies exactly what
+    // a window-at-a-time loop tallies, and leaves every model shape
+    // in the same state, on ranges that start and end anywhere in
+    // flat and ramp segments.
+    const AdaptiveRackFixture fx;
+    const Rack rack = fx.makeRack(0);
+    const VersionedLibrary vlib = rack.currentLibrary();
+    const TieredStoreConfig models[] = {
+        {4, 3, AdmissionPolicy::AdmitAlways},
+        {5, 0, AdmissionPolicy::TinyLfu},
+    };
+    // Every adaptive entry of the library, plus a flat-top whose
+    // length is no whole number of windows (the library's are), so
+    // the clamped tail window is played too.
+    std::vector<std::pair<waveform::GateId, core::CompressedEntry>> entries;
+    for (const auto &[id, e] : vlib.lib->entries())
+        if (e.cw.i.isAdaptive() || e.cw.q.isAdaptive())
+            entries.push_back({id, e});
+    ASSERT_FALSE(entries.empty());
+    core::CompressedEntry trimmed;
+    trimmed.cw = core::AdaptiveCompressor({"int-dct", 16, 1e-3})
+                     .compress(waveform::gaussianSquare(1000, 200, 0.12,
+                                                        0.15));
+    ASSERT_TRUE(trimmed.cw.i.isAdaptive());
+    entries.push_back({{waveform::GateType::X, 99, -1}, trimmed});
+
+    bool sawFlatCut = false, sawRampCut = false, sawTail = false;
+    for (const auto &[id, e] : entries) {
+        for (const std::uint8_t ch : {0, 1}) {
+            const core::CompressedChannel &channel =
+                ch == 0 ? e.cw.i : e.cw.q;
+            if (!channel.isAdaptive())
+                continue;
+            const auto nwin =
+                static_cast<std::uint32_t>(channel.numWindows());
+            std::vector<std::pair<std::uint32_t, std::uint32_t>> ranges =
+                {{0, nwin}};
+            for (std::uint32_t w = 0; w < nwin; ++w)
+                ranges.push_back({w, 1});
+            // One window into each segment, and one window short of
+            // its end: ranges from there to either end of the channel
+            // and to the same point of the next segment.
+            std::vector<std::pair<std::uint32_t, bool>> cuts;
+            std::uint32_t begin = 0;
+            for (const auto &seg : channel.segments) {
+                const auto span = static_cast<std::uint32_t>(
+                    (seg.samples() + channel.windowSize - 1) /
+                    channel.windowSize);
+                if (span >= 3) {
+                    cuts.push_back({begin + 1, seg.isFlat});
+                    cuts.push_back({begin + span - 1, seg.isFlat});
+                }
+                begin += span;
+            }
+            for (std::size_t k = 0; k < cuts.size(); ++k) {
+                const auto [cut, flat] = cuts[k];
+                (flat ? sawFlatCut : sawRampCut) = true;
+                ranges.push_back({cut, nwin - cut});
+                ranges.push_back({0, cut});
+                if (k + 2 < cuts.size())
+                    ranges.push_back({cut, cuts[k + 2].first - cut});
+            }
+            sawTail = sawTail || channel.windowSamples(nwin - 1) <
+                                     channel.windowSize;
+
+            for (const auto &[first, count] : ranges) {
+                for (const auto &cfg : models) {
+                    TieredWindowStore played(cfg), reference(cfg);
+                    WindowPlayer player(rack, vlib, &played);
+                    PlaybackCounters got, want;
+                    // Twice: the replay hits what the first pass
+                    // placed.
+                    for (int pass = 0; pass < 2; ++pass) {
+                        player.playWindows(id, e, ch, first, count, got);
+                        const PlaybackCounters r =
+                            perWindowPlay(id, e, ch, first, count,
+                                          reference, vlib.version);
+                        want.windows += r.windows;
+                        want.samples += r.samples;
+                        want.bypassed += r.bypassed;
+                    }
+                    const std::string tag =
+                        waveform::toString(id) + " ch " +
+                        std::to_string(ch) + " [" +
+                        std::to_string(first) + ", +" +
+                        std::to_string(count) + ") " +
+                        admissionPolicyName(cfg.admission);
+                    EXPECT_EQ(got.gates, want.gates) << tag;
+                    EXPECT_EQ(got.windows, want.windows) << tag;
+                    EXPECT_EQ(got.samples, want.samples) << tag;
+                    EXPECT_EQ(got.bypassed, want.bypassed) << tag;
+                    expectSameModel(played.stats(), reference.stats(),
+                                    tag);
+                }
+            }
+        }
+    }
+    EXPECT_TRUE(sawFlatCut);
+    EXPECT_TRUE(sawRampCut);
+    EXPECT_TRUE(sawTail);
 }
 
 // --------------------------------------------------- library registry
