@@ -302,10 +302,12 @@ main(int argc, char **argv)
     const std::vector<int> shard_counts =
         tiny ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8};
     // 0 = uncached baseline; the large size holds a full QEC
-    // working set, the small one demonstrates LRU pressure.
-    const std::vector<std::size_t> cache_sizes =
-        tiny ? std::vector<std::size_t>{0, 1u << 15}
-             : std::vector<std::size_t>{0, 4096, 1u << 15};
+    // working set, the small one is far below one batch's windows, so
+    // it thrashes (hit rate ~0): every window is a miss, a placement
+    // and an eviction.
+    const std::size_t thrash_cache = tiny ? 64 : 4096;
+    const std::vector<std::size_t> cache_sizes = {0, thrash_cache,
+                                                  1u << 15};
     const int batch_size = tiny ? 2 : 4;
     const int workers = tiny ? 2 : 4;
     report.setWorkers(workers);
@@ -317,6 +319,7 @@ main(int argc, char **argv)
               "fleet banks", "feasible"});
 
     double uncached_best = 0.0, cached_best = 0.0, speedup = 0.0;
+    double thrash_speedup = 0.0, thrash_hit_rate = 0.0;
     double cached_samples_per_sec = 0.0, cached_hit_rate = 0.0;
     runtime::TieredStoreStats cached_best_counters;
     for (const int d : distances) {
@@ -349,16 +352,10 @@ main(int argc, char **argv)
                 // patch at the widest shard sweep value.
                 if (d == distances.back() &&
                     shards == shard_counts.back()) {
-                    if (cache == 0) {
-                        uncached_best = stats.gatesPerSec;
-                    } else if (stats.gatesPerSec > cached_best) {
-                        cached_best = stats.gatesPerSec;
-                        cached_samples_per_sec = stats.samplesPerSec;
-                        cached_hit_rate = stats.cacheHitRate;
-                        cached_best_counters = stats.cache;
-                        // The ratio is the median of the batches'
-                        // paired cached/uncached rates: each pair ran
-                        // back to back, so host drift cancels.
+                    // Ratios are the median of the batches' paired
+                    // modeled/uncached rates: each pair ran back to
+                    // back, so host drift cancels.
+                    const auto pairedRatio = [&] {
                         std::vector<double> ratios;
                         for (std::size_t k = 0; k < runs[i]->rates.size();
                              ++k)
@@ -368,7 +365,19 @@ main(int argc, char **argv)
                                          ratios.begin() +
                                              ratios.size() / 2,
                                          ratios.end());
-                        speedup = ratios[ratios.size() / 2];
+                        return ratios[ratios.size() / 2];
+                    };
+                    if (cache == 0) {
+                        uncached_best = stats.gatesPerSec;
+                    } else if (cache == thrash_cache) {
+                        thrash_speedup = pairedRatio();
+                        thrash_hit_rate = stats.cacheHitRate;
+                    } else if (stats.gatesPerSec > cached_best) {
+                        cached_best = stats.gatesPerSec;
+                        cached_samples_per_sec = stats.samplesPerSec;
+                        cached_hit_rate = stats.cacheHitRate;
+                        cached_best_counters = stats.cache;
+                        speedup = pairedRatio();
                     }
                 }
             }
@@ -379,7 +388,12 @@ main(int argc, char **argv)
     std::cout << "\nwaveform-memory model cost (gates/s, modeled vs"
                  " unmodeled): "
               << Table::num(speedup, 2) << "x\n";
+    std::cout << "thrashing model cost (" << thrash_cache
+              << " windows, hit rate " << Table::num(thrash_hit_rate, 3)
+              << "): " << Table::num(thrash_speedup, 2) << "x\n";
     report.metric("cache_speedup_gates_per_sec", speedup);
+    report.metric("thrash_vs_uncached_gates_per_sec", thrash_speedup);
+    report.metric("thrash_hit_rate", thrash_hit_rate);
     report.metric("uncached_gates_per_sec", uncached_best);
     report.metric("cached_gates_per_sec", cached_best);
     report.metric("cached_samples_per_sec", cached_samples_per_sec);

@@ -7,10 +7,10 @@
  * threshold is converted through the transform's coefficientScale so
  * thresholds are comparable across codecs).
  *
- * The decode side is span-native: decodeInto streams the channel
- * window-by-window through member scratch into caller-owned memory,
- * and decompressWindowInto is the O(windowSize) per-window primitive
- * adaptive playback decodes through. Neither allocates.
+ * The decode side is span-native: every decode entry point writes each
+ * window straight into caller-owned memory through one fused
+ * IDCT -> Q15 kernel (dsp::IntDct::inversePrefixQ15), with no scratch
+ * and no allocation.
  */
 
 #include <algorithm>
@@ -21,7 +21,6 @@
 #include "core/codec.hh"
 #include "core/codecs/builtin.hh"
 #include "dsp/int_dct.hh"
-#include "dsp/simd.hh"
 
 namespace compaqt::core::codecs
 {
@@ -86,9 +85,7 @@ class IntDctCodec final : public ICodec
             const std::size_t len = ch.windowSamples(w);
             if (len == 0)
                 break;
-            inverseToScratch(ch.windows[w]);
-            dsp::simd::dequantizeQ15Into(xbuf_.data(), len,
-                                         out.data() + w * ws);
+            decodeWindow(ch.windows[w], out.subspan(w * ws, len));
         }
     }
 
@@ -109,8 +106,7 @@ class IntDctCodec final : public ICodec
         const std::size_t len = ch.windowSamples(window);
         COMPAQT_REQUIRE(out.size() >= len,
                         "window output span too small");
-        inverseToScratch(ch.windows[window]);
-        dsp::simd::dequantizeQ15Into(xbuf_.data(), len, out.data());
+        decodeWindow(ch.windows[window], out.first(len));
         return len;
     }
 
@@ -126,41 +122,36 @@ class IntDctCodec final : public ICodec
         COMPAQT_REQUIRE(first_window + window_count <=
                             ch.windows.size(),
                         "window batch out of range");
-        // One virtual call amortized over the run: each window's
-        // prefix-sparse inverse and dequantize both dispatch into the
-        // dsp::simd kernels, and the batch keeps their working set
-        // (the transform matrix, the scratch window) hot across
-        // iterations.
-        std::size_t written = 0;
-        for (std::size_t j = 0; j < window_count; ++j) {
-            const std::size_t len =
-                ch.windowSamples(first_window + j);
-            if (len == 0)
-                continue;
-            COMPAQT_REQUIRE(out.size() >= written + len,
-                            "window batch output span too small");
-            inverseToScratch(ch.windows[first_window + j]);
-            dsp::simd::dequantizeQ15Into(xbuf_.data(), len,
-                                         out.data() + written);
-            written += len;
+        // One virtual call and one bound check amortized over the run;
+        // the windows are consecutive, so every one but the clamped
+        // tail is a full window (windows past numSamples are empty).
+        const std::size_t total =
+            ch.rangeSamples(first_window, window_count);
+        COMPAQT_REQUIRE(out.size() >= total,
+                        "window batch output span too small");
+        for (std::size_t j = 0, done = 0; done < total; ++j) {
+            const std::size_t len = std::min(ws, total - done);
+            decodeWindow(ch.windows[first_window + j],
+                         out.subspan(done, len));
+            done += len;
         }
-        return written;
+        return total;
     }
 
   private:
-    /** Inverse-transform one packed window into xbuf_ — the single
-     *  definition of the window-decode step both the channel and
-     *  per-window paths share (their bit-exactness contract depends
+    /** Decode one packed window into `out` (its first out.size()
+     *  samples) — the single definition of the window-decode step
+     *  every decode path shares (their bit-exactness contract depends
      *  on it). The trailing-zero run never gets expanded: the
      *  prefix-sparse inverse consumes the packed coefficients
      *  directly, bit-exact with the dense product on the
      *  zero-extended window. */
     void
-    inverseToScratch(const CompressedWindow &w) const
+    decodeWindow(const CompressedWindow &w, SampleSpan out) const
     {
         COMPAQT_REQUIRE(w.icoeffs.size() + w.zeros == xform_.size(),
                         "compressed window has wrong size");
-        xform_.inversePrefix(w.icoeffs, xbuf_);
+        xform_.inversePrefixQ15(w.icoeffs, out);
     }
 
     dsp::IntDct xform_;

@@ -5,7 +5,6 @@
 #include "common/logging.hh"
 #include "dsp/metrics.hh"
 #include "dsp/simd.hh"
-#include "telemetry/metrics.hh"
 
 namespace compaqt::core
 {
@@ -196,16 +195,6 @@ Decompressor::decodeWindowsInto(const CompressedChannel &ch,
 {
     if (window_count == 0)
         return 0;
-    // The decode.kernel counters make batching observable: windows /
-    // batches is the achieved batch factor, the lever behind the
-    // SIMD decode plane's throughput.
-    static telemetry::Counter &batches =
-        telemetry::Registry::global().counter("decode.kernel.batches");
-    static telemetry::Counter &windows =
-        telemetry::Registry::global().counter("decode.kernel.windows");
-    batches.add(1);
-    windows.add(window_count);
-
     if (!ch.isAdaptive()) {
         return codec(codec_name, ch.windowSize)
             .decodeWindowsInto(ch, first_window, window_count, out);

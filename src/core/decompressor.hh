@@ -90,14 +90,12 @@ class Decompressor
 
     /**
      * Batch-of-windows decode — the registry-dispatched face of
-     * ICodec::decodeWindowsInto, and the entry every batching caller
-     * (WindowPlayer streaming) uses.
-     * Output is bit-identical to decompressWindowInto() called per
-     * window at the running offset. Adaptive channels split the batch
-     * at segment boundaries: a run of flat windows becomes one
-     * constant fill (IDCT bypass), a run of ramp windows becomes one
-     * codec batch on the segment's sub-channel. Each call bumps the
-     * decode.kernel.batches / decode.kernel.windows counters.
+     * ICodec::decodeWindowsInto. Output is bit-identical to
+     * decompressWindowInto() called per window at the running offset.
+     * Adaptive channels split the batch at segment boundaries: a run
+     * of flat windows becomes one constant fill (IDCT bypass), a run
+     * of ramp windows becomes one codec batch on the segment's
+     * sub-channel.
      * @pre first_window + window_count <= ch.numWindows()
      * @pre out.size() >= total samples in the batch
      */

@@ -159,15 +159,13 @@ IntDct::inverse(std::span<const std::int32_t> y,
 }
 
 void
-IntDct::inversePrefix(std::span<const std::int32_t> prefix,
-                      std::span<std::int32_t> x) const
+IntDct::inversePrefixQ15(std::span<const std::int32_t> prefix,
+                         std::span<double> out) const
 {
-    COMPAQT_REQUIRE(prefix.size() <= n_ && x.size() == n_,
-                    "IntDct::inversePrefix size mismatch");
-    // Column-major walk of the same terms inverse() accumulates; the
-    // k >= prefix.size() terms are zero and drop out exactly.
-    simd::idctPrefixInto(m_.data(), n_, prefix.data(), prefix.size(),
-                         ishift_, x.data());
+    COMPAQT_REQUIRE(prefix.size() <= n_ && out.size() <= n_,
+                    "IntDct::inversePrefixQ15 size mismatch");
+    simd::idctPrefixQ15Into(m_.data(), n_, prefix.data(), prefix.size(),
+                            ishift_, out.data(), out.size());
 }
 
 void

@@ -85,19 +85,21 @@ class IntDct
                  std::span<std::int32_t> x) const;
 
     /**
-     * Inverse transform of a coefficient prefix: the remaining
-     * size() - prefix.size() coefficients are an implied zero run
-     * (exactly what the RLE codeword encodes), and zero terms
-     * contribute nothing to an integer accumulation, so the result
-     * is bit-exact with inverse() on the zero-extended window while
-     * doing only prefix.size() x size() multiplies. This is the
-     * decode-plane hot kernel: thresholded windows keep only a few
-     * coefficients, so skipping the zeros is where COMPAQT's
-     * compression pays off in decode throughput too.
-     * @pre prefix.size() <= size(), x.size() == size()
+     * Inverse transform of a coefficient prefix straight to
+     * normalized samples: the first out.size() outputs of inverse()
+     * on the zero-extended window, each dequantize()d, in one fused
+     * kernel with no int32 scratch. The remaining size() -
+     * prefix.size() coefficients are an implied zero run (exactly
+     * what the RLE codeword encodes), and zero terms contribute
+     * nothing to an integer accumulation, so only prefix.size() x
+     * out.size() multiplies are done. This is the decode-plane hot
+     * kernel, the int-DCT codec's window step: thresholded windows
+     * keep only a few coefficients, so skipping the zeros is where
+     * COMPAQT's compression pays off in decode throughput too.
+     * @pre prefix.size() <= size(), out.size() <= size()
      */
-    void inversePrefix(std::span<const std::int32_t> prefix,
-                       std::span<std::int32_t> x) const;
+    void inversePrefixQ15(std::span<const std::int32_t> prefix,
+                          std::span<double> out) const;
 
     /**
      * Inverse transform via the HEVC partial butterfly with every

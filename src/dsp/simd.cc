@@ -45,10 +45,21 @@ idctPrefixScalar(const std::int32_t *m, std::size_t n,
 }
 
 void
-dequantizeQ15Scalar(const std::int32_t *x, std::size_t n, double *out)
+idctPrefixQ15Scalar(const std::int32_t *m, std::size_t n,
+                    const std::int32_t *y, std::size_t p, int ishift,
+                    double *out, std::size_t len)
 {
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = std::ldexp(static_cast<double>(x[i]), -15);
+    // idctPrefixScalar's int32 result times 2^-15, which is exact in
+    // binary floating point (the same value as ldexp(x, -15)).
+    const std::int64_t round = std::int64_t{1} << (ishift - 1);
+    for (std::size_t i = 0; i < len; ++i) {
+        std::int64_t acc = 0;
+        for (std::size_t k = 0; k < p; ++k)
+            acc += std::int64_t{m[k * n + i]} * y[k];
+        out[i] = static_cast<double>(static_cast<std::int32_t>(
+                     (acc + round) >> ishift)) *
+                 0x1p-15;
+    }
 }
 
 void
@@ -122,21 +133,88 @@ idctPrefixAvx2(const std::int32_t *m, std::size_t n,
     }
 }
 
-__attribute__((target("avx2"))) void
-dequantizeQ15Avx2(const std::int32_t *x, std::size_t n, double *out)
+/**
+ * Outputs [0, min(len, 4B)) of the fused IDCT -> Q15 step, for the
+ * columns from `m` on: B int64 accumulators of 4 lanes stay in
+ * registers across every k, so y[k] is broadcast once per k. The
+ * rounded shift is done in registers — AVX2 has no 64-bit arithmetic
+ * shift, so a logical shift is sign-filled from the top — and the low
+ * 32 bits of each lane (the int32 cast, wrap included) convert to
+ * double and scale by 2^-15 exactly.
+ */
+template <std::size_t B>
+__attribute__((target("avx2"), always_inline)) inline void
+idctQ15BlocksAvx2(const std::int32_t *m, std::size_t n,
+                  const std::int32_t *y, std::size_t p, int ishift,
+                  double *out, std::size_t len)
 {
-    // Multiplying by the power of two 2^-15 is exact, identical to
-    // ldexp(v, -15).
-    const __m256d scale = _mm256_set1_pd(0x1p-15);
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m128i v = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(x + i));
-        _mm256_storeu_pd(out + i,
-                         _mm256_mul_pd(_mm256_cvtepi32_pd(v), scale));
+    __m256i acc[B];
+    for (std::size_t b = 0; b < B; ++b)
+        acc[b] = _mm256_setzero_si256();
+    for (std::size_t k = 0; k < p; ++k) {
+        const __m256i yk = _mm256_set1_epi64x(y[k]);
+        const std::int32_t *row = m + k * n;
+        for (std::size_t b = 0; b < B; ++b) {
+            const __m256i row64 = _mm256_cvtepi32_epi64(_mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(row + 4 * b)));
+            acc[b] = _mm256_add_epi64(acc[b],
+                                      _mm256_mul_epi32(row64, yk));
+        }
     }
-    for (; i < n; ++i)
-        out[i] = std::ldexp(static_cast<double>(x[i]), -15);
+    const __m256i round =
+        _mm256_set1_epi64x(std::int64_t{1} << (ishift - 1));
+    const __m128i shift = _mm_cvtsi32_si128(ishift);
+    const __m128i fill = _mm_cvtsi32_si128(64 - ishift);
+    const __m256i low32 = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
+    const __m256d scale = _mm256_set1_pd(0x1p-15);
+    for (std::size_t b = 0; b < B; ++b) {
+        const __m256i v = _mm256_add_epi64(acc[b], round);
+        const __m256i neg =
+            _mm256_cmpgt_epi64(_mm256_setzero_si256(), v);
+        const __m256i x = _mm256_or_si256(_mm256_srl_epi64(v, shift),
+                                          _mm256_sll_epi64(neg, fill));
+        const __m256d d = _mm256_mul_pd(
+            _mm256_cvtepi32_pd(_mm256_castsi256_si128(
+                _mm256_permutevar8x32_epi32(x, low32))),
+            scale);
+        const std::size_t i = 4 * b;
+        if (i + 4 <= len) {
+            _mm256_storeu_pd(out + i, d);
+        } else if (i < len) {
+            alignas(32) double tail[4];
+            _mm256_store_pd(tail, d);
+            for (std::size_t j = i; j < len; ++j)
+                out[j] = tail[j - i];
+        }
+    }
+}
+
+__attribute__((target("avx2"))) void
+idctPrefixQ15Avx2(const std::int32_t *m, std::size_t n,
+                  const std::int32_t *y, std::size_t p, int ishift,
+                  double *out, std::size_t len)
+{
+    // Only the column blocks that reach `len` are computed, up to 8
+    // at a time (8 accumulators + the broadcast fit the 16 ymm
+    // registers). n % 4 == 0 and len <= n, so no block reads past
+    // column n.
+    for (std::size_t i = 0; i < len;) {
+        const std::size_t blocks = (len - i + 3) / 4;
+        const std::int32_t *mi = m + i;
+        if (blocks >= 8) {
+            idctQ15BlocksAvx2<8>(mi, n, y, p, ishift, out + i, len - i);
+            i += 32;
+        } else if (blocks >= 4) {
+            idctQ15BlocksAvx2<4>(mi, n, y, p, ishift, out + i, len - i);
+            i += 16;
+        } else if (blocks >= 2) {
+            idctQ15BlocksAvx2<2>(mi, n, y, p, ishift, out + i, len - i);
+            i += 8;
+        } else {
+            idctQ15BlocksAvx2<1>(mi, n, y, p, ishift, out + i, len - i);
+            i += 4;
+        }
+    }
 }
 
 __attribute__((target("avx2"))) void
@@ -247,6 +325,22 @@ dequantizeQ15Neon(const std::int32_t *x, std::size_t n, double *out)
     }
     for (; i < n; ++i)
         out[i] = std::ldexp(static_cast<double>(x[i]), -15);
+}
+
+void
+idctPrefixQ15Neon(const std::int32_t *m, std::size_t n,
+                  const std::int32_t *y, std::size_t p, int ishift,
+                  double *out, std::size_t len)
+{
+    // The two NEON kernels chained through a stack window (every HEVC
+    // size fits).
+    if (n > 32) {
+        idctPrefixQ15Scalar(m, n, y, p, ishift, out, len);
+        return;
+    }
+    std::int32_t x[32];
+    idctPrefixNeon(m, n, y, p, ishift, x);
+    dequantizeQ15Neon(x, len, out);
 }
 
 void
@@ -477,21 +571,23 @@ idctPrefixInto(const std::int32_t *m, std::size_t n,
 }
 
 void
-dequantizeQ15Into(const std::int32_t *x, std::size_t n, double *out)
+idctPrefixQ15Into(const std::int32_t *m, std::size_t n,
+                  const std::int32_t *y, std::size_t p, int ishift,
+                  double *out, std::size_t len)
 {
-    switch (activeBackend()) {
+    switch (n % 4 == 0 ? activeBackend() : Backend::Scalar) {
 #if COMPAQT_SIMD_X86
     case Backend::Avx2:
-        dequantizeQ15Avx2(x, n, out);
+        idctPrefixQ15Avx2(m, n, y, p, ishift, out, len);
         return;
 #endif
 #if COMPAQT_SIMD_NEON
     case Backend::Neon:
-        dequantizeQ15Neon(x, n, out);
+        idctPrefixQ15Neon(m, n, y, p, ishift, out, len);
         return;
 #endif
     default:
-        dequantizeQ15Scalar(x, n, out);
+        idctPrefixQ15Scalar(m, n, y, p, ishift, out, len);
         return;
     }
 }

@@ -1,9 +1,10 @@
 /**
  * @file
  * Runtime-dispatched SIMD decode kernels — the arithmetic inner loops
- * of every decode path (int-DCT inverse, float DCT inverse, Q15
- * dequantize, delta sign-magnitude expansion, RLE zero runs) behind
- * one backend switch.
+ * of every decode path (int-DCT inverse, the fused int-DCT inverse to
+ * Q15 samples that int-DCT windows decode through, float DCT inverse,
+ * delta sign-magnitude expansion, RLE zero runs) behind one backend
+ * switch.
  *
  * The HEVC-style integer transform of Section IV-C was designed for
  * wide fixed-point SIMD: 32-bit coefficient lanes with 64-bit
@@ -88,7 +89,7 @@ std::size_t doubleLanes(Backend b);
 /**
  * Prefix-sparse integer IDCT: x[i] = (sum_{k<p} m[k*n+i]*y[k] +
  * round) >> ishift with int64 accumulation — the transposed-matrix
- * times coefficient-prefix product of dsp::IntDct::inversePrefix.
+ * times coefficient-prefix product of dsp::IntDct::inverse.
  * Bit-exact across backends (integer adds commute). p == n is the
  * dense inverse. @pre ishift >= 1; n a multiple of 4 for the vector
  * paths (the dispatcher falls back to scalar otherwise).
@@ -97,10 +98,18 @@ void idctPrefixInto(const std::int32_t *m, std::size_t n,
                     const std::int32_t *y, std::size_t p, int ishift,
                     std::int32_t *x);
 
-/** Q15 -> normalized double: out[i] = x[i] * 2^-15 (exact in binary
- *  floating point, so bit-exact across backends). */
-void dequantizeQ15Into(const std::int32_t *x, std::size_t n,
-                       double *out);
+/**
+ * One int-DCT window step, fused: the first `len` outputs of
+ * idctPrefixInto, each cast to int32 (wrapping) and scaled to a
+ * normalized sample, out[i] = double(x[i]) * 2^-15 — exact in binary
+ * floating point, so bit-exact across backends and with idctPrefixInto
+ * followed by ldexp(x[i], -15). Writes exactly `len` doubles and
+ * computes only the outputs it writes. @pre ishift in [1, 63];
+ * len <= n
+ */
+void idctPrefixQ15Into(const std::int32_t *m, std::size_t n,
+                       const std::int32_t *y, std::size_t p, int ishift,
+                       double *out, std::size_t len);
 
 /**
  * Prefix-sparse float IDCT: x[i] = sum_{k<p} basis[k*n+i] * y[k],

@@ -28,6 +28,23 @@ resolved(const std::vector<const core::CompressedEntry *> &entries,
     return *entries[ref];
 }
 
+/** Reject windows [first, first + count) of channel `ch` of `entry`
+ *  unless they lie on the channel's window grid — before the codec or
+ *  the waveform-memory model sees them. */
+void
+requireOnGrid(const core::CompressedEntry &entry, std::uint8_t ch,
+              std::uint64_t first, std::uint64_t count, const char *op)
+{
+    const std::size_t nwin =
+        (ch == 0 ? entry.cw.i : entry.cw.q).numWindows();
+    if (first + count > nwin)
+        throw std::invalid_argument(
+            std::string("isa: ") + op + " of windows [" +
+            std::to_string(first) + ", " + std::to_string(first + count) +
+            ") leaves the channel's " + std::to_string(nwin) +
+            "-window grid");
+}
+
 } // namespace
 
 InterpreterResult
@@ -125,6 +142,7 @@ Interpreter::run(const InstructionProgram &prog)
                     trace.record(e);
                 }
             }
+            requireOnGrid(entry, in.channel, first, count, "PLAY");
             if (player_.decodes() && count > 0)
                 player_.playWindows(id, entry, in.channel, first,
                                     count, res.play);
@@ -138,6 +156,8 @@ Interpreter::run(const InstructionProgram &prog)
             const core::CompressedEntry &entry =
                 resolved(entries_, in.gateRef);
             const waveform::GateId &id = prog.gate(in.gateRef);
+            requireOnGrid(entry, in.channel, in.prefetchWindow(), 1,
+                          "PREFETCH");
             // A no-op when the window is resident (a tier-0 hint may
             // still have promoted it), flat, or there is no model.
             if (player_.prefetchWindow(id, entry, in.channel,

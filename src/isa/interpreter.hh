@@ -92,8 +92,9 @@ class Interpreter
      *         accepted, matching pre-stamp streams), or when a
      *         PLAY/PREFETCH executes that references a gate the
      *         pinned library does not hold or a slot past the gate
-     *         table — programs are compiled against a concrete
-     *         library, so a mismatch is a corrupt, stale, or
+     *         table, or a PLAY range or PREFETCH window off the
+     *         channel's window grid — programs are compiled against
+     *         a concrete library, so a mismatch is a corrupt, stale, or
      *         misrouted program, not a soft miss. The gate table is
      *         resolved against the library once per run.
      */

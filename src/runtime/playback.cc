@@ -2,8 +2,30 @@
 
 #include <algorithm>
 
+#include "telemetry/metrics.hh"
+
 namespace compaqt::runtime
 {
+
+namespace
+{
+
+/** Add one playWindows call's decode batches to the
+ *  decode.kernel.{batches,windows} counters: windows / batches is the
+ *  achieved batch factor, the lever behind the decode plane's
+ *  throughput. */
+void
+countDecodeBatches(std::uint64_t batches, std::uint64_t windows)
+{
+    static telemetry::Counter &batchCounter =
+        telemetry::Registry::global().counter("decode.kernel.batches");
+    static telemetry::Counter &windowCounter =
+        telemetry::Registry::global().counter("decode.kernel.windows");
+    batchCounter.add(batches);
+    windowCounter.add(windows);
+}
+
+} // namespace
 
 void
 WindowPlayer::playWindows(const waveform::GateId &id,
@@ -17,6 +39,22 @@ WindowPlayer::playWindows(const waveform::GateId &id,
     if (scratch_.size() < ws * kBatchWindows)
         scratch_.resize(ws * kBatchWindows);
     const SampleSpan scratch(scratch_.data(), scratch_.size());
+    const core::ICodec &codec = dec_.resolve(cw.codec, ws);
+    // Stream windows [first, first + n) of `src` through the batch
+    // decode primitive in kBatchWindows chunks.
+    std::uint64_t batches = 0, decoded = 0;
+    const auto decode = [&](const core::CompressedChannel &src,
+                            std::size_t first_window, std::size_t n) {
+        for (std::size_t done = 0; done < n;) {
+            const std::size_t k =
+                std::min<std::size_t>(kBatchWindows, n - done);
+            c.samples += codec.decodeWindowsInto(
+                src, first_window + done, k, scratch);
+            done += k;
+            ++batches;
+        }
+        decoded += n;
+    };
 
     if (channel.isAdaptive()) {
         // Adaptive channels play a segment run at a time. A flat run
@@ -24,7 +62,6 @@ WindowPlayer::playWindows(const waveform::GateId &id,
         // are still produced, but it never enters the model and its
         // tallies are arithmetic on the window grid. A ramp run is one
         // range access and batch decodes on the segment's sub-channel.
-        const core::ICodec &codec = dec_.resolve(cw.codec, ws);
         channel.forEachSegmentRun(
             first, count,
             [&](const core::AdaptiveSegment &seg, std::size_t local,
@@ -48,29 +85,16 @@ WindowPlayer::playWindows(const waveform::GateId &id,
                         {id, ch, static_cast<std::uint32_t>(global),
                          libVersion_},
                         ws, static_cast<std::uint32_t>(run));
-                for (std::size_t done = 0; done < run;) {
-                    const std::size_t k = std::min<std::size_t>(
-                        kBatchWindows, run - done);
-                    c.samples += codec.decodeWindowsInto(
-                        seg.windows, local + done, k, scratch);
-                    done += k;
-                }
+                decode(seg.windows, local, run);
             });
-        return;
+    } else {
+        if (store_)
+            store_->access({id, ch, first, libVersion_}, ws, count);
+        decode(channel, first, count);
+        c.windows += count;
     }
-
-    if (store_)
-        store_->access({id, ch, first, libVersion_}, ws, count);
-    // Stream the range through the batch decode primitive in
-    // kBatchWindows chunks.
-    const std::uint32_t end = first + count;
-    for (std::uint32_t w = first; w < end;) {
-        const auto run = std::min<std::uint32_t>(kBatchWindows, end - w);
-        c.samples +=
-            dec_.decodeWindowsInto(channel, cw.codec, w, run, scratch);
-        c.windows += run;
-        w += run;
-    }
+    if (decoded > 0)
+        countDecodeBatches(batches, decoded);
 }
 
 bool

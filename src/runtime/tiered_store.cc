@@ -41,6 +41,14 @@ foldCounters(TieredStoreStats &s, const TieredStoreStats &o, Op op)
 
 constexpr auto kAdd = [](std::uint64_t &a, std::uint64_t b) { a += b; };
 
+/** The index key of `k`'s channel: its window-0 key. */
+DecodedWindowKey
+channelKey(DecodedWindowKey k)
+{
+    k.window = 0;
+    return k;
+}
+
 } // namespace
 
 const char *
@@ -160,11 +168,11 @@ TieredWindowStore::sketchEstimate(const DecodedWindowKey &key) const
     return best;
 }
 
-std::uint32_t
-TieredWindowStore::find(const DecodedWindowKey &key) const
+TieredWindowStore::Channel *
+TieredWindowStore::findChannel(const DecodedWindowKey &key)
 {
-    const auto it = index_.find(key);
-    return it == index_.end() ? kNil : it->second;
+    const auto it = index_.find(channelKey(key));
+    return it == index_.end() ? nullptr : &it->second;
 }
 
 void
@@ -219,11 +227,13 @@ TieredWindowStore::access(const DecodedWindowKey &first,
 {
     const std::uint32_t end = first.window + count;
     std::uint32_t hits = 0;
+    // One probe per range: every window of it is a slot of `ch`.
+    Channel *ch = findChannel(first);
     for (DecodedWindowKey key = first; key.window < end;) {
         sketchAdd(key);
-        const std::uint32_t e = find(key);
+        const std::uint32_t e = slot(ch, key.window);
         if (e == kNil) {
-            miss(key, window_size);
+            miss(key, window_size, ch, end);
             ++key.window;
             continue;
         }
@@ -264,7 +274,9 @@ TieredWindowStore::recordRun(std::uint32_t first, DecodedWindowKey key,
         ++n;
         ++key.window;
         const std::uint32_t p = entries_[head].prev;
-        if (key.window == end || p == kNil || entries_[p].key != key)
+        if (key.window == end || p == kNil ||
+            entries_[p].channel != entries_[first].channel ||
+            entries_[p].key.window != key.window)
             break;
         head = p;
     }
@@ -305,7 +317,8 @@ TieredWindowStore::hitTier1(std::uint32_t e)
 
 void
 TieredWindowStore::miss(const DecodedWindowKey &key,
-                        std::size_t window_size)
+                        std::size_t window_size, Channel *&ch,
+                        std::uint32_t end)
 {
     ++stats_.misses;
     for (std::size_t t = 0; t < 2; ++t)
@@ -316,7 +329,7 @@ TieredWindowStore::miss(const DecodedWindowKey &key,
     if (capacity() == 0)
         return;
     if (const std::uint8_t tier = admissionTier(key); tier != kBypass)
-        insert(key, window_size, tier, /*prefetched=*/false);
+        insert(key, window_size, tier, /*prefetched=*/false, ch, end);
 }
 
 std::uint8_t
@@ -337,7 +350,8 @@ TieredWindowStore::admissionTier(const DecodedWindowKey &key)
 void
 TieredWindowStore::insert(const DecodedWindowKey &key,
                           std::size_t window_size, std::uint8_t tier,
-                          bool prefetched)
+                          bool prefetched, Channel *&ch,
+                          std::uint32_t end)
 {
     // The free list is never empty here: capacity() + 1 entries, and
     // every tier is back within budget after each fill.
@@ -350,7 +364,13 @@ TieredWindowStore::insert(const DecodedWindowKey &key,
     en.touched = false;
     en.prefetched = prefetched;
     moveTo(e, tier);
-    index_.emplace(key, e);
+    if (!ch)
+        ch = &index_[channelKey(key)];
+    if (ch->slots.size() <= key.window)
+        ch->slots.resize(std::max(key.window + 1, end), kNil);
+    ch->slots[key.window] = e;
+    ++ch->live;
+    en.channel = ch;
     if (prefetched)
         ++stats_.prefetches;
     ++stats_.tier[tier].admitted;
@@ -366,7 +386,8 @@ TieredWindowStore::prefetch(const DecodedWindowKey &key,
 {
     if (capacity() == 0)
         return false;
-    if (const std::uint32_t e = find(key); e != kNil) {
+    Channel *ch = findChannel(key);
+    if (const std::uint32_t e = slot(ch, key.window); e != kNil) {
         if (entries_[e].list == 1 && target_tier == 0 &&
             cfg_.tier0Windows > 0) {
             // The compiler saw a short reuse distance: pull the
@@ -381,7 +402,8 @@ TieredWindowStore::prefetch(const DecodedWindowKey &key,
     std::uint8_t tier = target_tier == 0 ? 0 : 1;
     if (tierWindows(tier) == 0)
         tier ^= 1;
-    insert(key, window_size, tier, /*prefetched=*/true);
+    insert(key, window_size, tier, /*prefetched=*/true, ch,
+           key.window + 1);
     return true;
 }
 
@@ -438,7 +460,10 @@ TieredWindowStore::drop(std::uint32_t e)
                               "window", en.key.window, "channel",
                               en.key.channel);
     }
-    index_.erase(en.key);
+    en.channel->slots[en.key.window] = kNil;
+    if (--en.channel->live == 0)
+        index_.erase(channelKey(en.key));
+    en.channel = nullptr;
     moveTo(e, kFree);
 }
 

@@ -181,6 +181,10 @@ class TieredWindowStore
 
     TieredStoreStats stats() const;
 
+    /** Channels (gate, channel, libVersion) with a resident tag; each
+     *  holds one slot vector. Never more than stats().entries. */
+    std::size_t indexedChannels() const { return index_.size(); }
+
     /** Add the counters accumulated since the last call to the
      *  registry's cache.tier{0,1}.{hit, miss, promote, demote,
      *  admit_rejected}; the batch path calls it once per column. */
@@ -193,10 +197,22 @@ class TieredWindowStore
     /** admissionTier's answer for "held nowhere". */
     static constexpr std::uint8_t kBypass = 0xFF;
 
+    /** The tags of one (gate, channel, libVersion): the entry of
+     *  every window, or kNil, indexed by window. */
+    struct Channel
+    {
+        std::vector<std::uint32_t> slots;
+        /** Slots holding an entry; the channel leaves the index when
+         *  this drops to 0. */
+        std::uint32_t live = 0;
+    };
+
     /** One tag, linked into one of lists_ by entry index. */
     struct Entry
     {
         DecodedWindowKey key;
+        /** The channel whose slot holds this tag (null when free). */
+        Channel *channel = nullptr;
         std::uint32_t prev = kNil;
         std::uint32_t next = kNil;
         std::uint32_t samples = 0;
@@ -249,8 +265,15 @@ class TieredWindowStore
         std::size_t operator()(const DecodedWindowKey &k) const;
     };
 
-    /** Entry index of `key`, or kNil. */
-    std::uint32_t find(const DecodedWindowKey &key) const;
+    /** The channel of `key`'s window, or null when none of its
+     *  windows is resident. */
+    Channel *findChannel(const DecodedWindowKey &key);
+    /** Entry of window `window` of `ch`, or kNil. */
+    static std::uint32_t
+    slot(const Channel *ch, std::uint32_t window)
+    {
+        return ch && window < ch->slots.size() ? ch->slots[window] : kNil;
+    }
     /** Move one tag to the head of `list`, breaking its run. */
     void moveTo(std::uint32_t e, std::uint8_t list);
     /** Move the run first..last of list 0 (head side first) to the
@@ -263,10 +286,15 @@ class TieredWindowStore
                             std::uint32_t end);
     void claim(std::uint32_t e);
     void hitTier1(std::uint32_t e);
-    void miss(const DecodedWindowKey &key, std::size_t window_size);
+    /** `ch` is `key`'s channel or null; a placement that creates the
+     *  channel sets it. A slot vector that must grow is sized for
+     *  windows up to `end` (the end of the range being played). */
+    void miss(const DecodedWindowKey &key, std::size_t window_size,
+              Channel *&ch, std::uint32_t end);
     std::uint8_t admissionTier(const DecodedWindowKey &key);
     void insert(const DecodedWindowKey &key, std::size_t window_size,
-                std::uint8_t tier, bool prefetched);
+                std::uint8_t tier, bool prefetched, Channel *&ch,
+                std::uint32_t end);
     void promote(std::uint32_t e);
     void demote(std::uint32_t e);
     /** Evict `tier` to its budget: tier 0 demotes into tier 1 when
@@ -284,8 +312,11 @@ class TieredWindowStore
     std::vector<Entry> entries_;
     /** Tier 0, tier 1 and the free entries. */
     std::array<List, 3> lists_;
-    /** Entry of every resident tag. */
-    std::unordered_map<DecodedWindowKey, std::uint32_t, KeyHash> index_;
+    /** Slots of every channel with a resident tag, keyed by the
+     *  channel's window-0 key. Elements never move, so entries point
+     *  at their channel; a channel is erased with its last tag, so
+     *  retired calibrations free their slots as they age out. */
+    std::unordered_map<DecodedWindowKey, Channel, KeyHash> index_;
     /** Sketch counters (empty unless TinyLfu); all are halved every
      *  8 table sizes of adds (aging). */
     std::vector<std::uint8_t> sketch_;

@@ -10,7 +10,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -300,13 +302,15 @@ TEST_P(IntDctSizes, ButterflyMatchesDenseInverse)
 
 TEST_P(IntDctSizes, PrefixInverseMatchesDenseInverse)
 {
-    // The prefix-sparse inverse (the decode-plane hot kernel) must be
-    // bit-exact with the dense product on the zero-extended window,
-    // at every possible prefix length including 0 and n.
+    // The prefix-sparse inverse to samples (the decode-plane hot
+    // kernel) must be bit-exact with the dense product on the
+    // zero-extended window, dequantized, at every possible prefix
+    // length including 0 and n.
     const std::size_t n = GetParam();
     Rng rng(300 + n);
     IntDct xform(n);
-    std::vector<std::int32_t> y(n), a(n), b(n);
+    std::vector<std::int32_t> y(n), a(n);
+    std::vector<double> b(n);
     for (std::size_t prefix = 0; prefix <= n; ++prefix) {
         for (int trial = 0; trial < 10; ++trial) {
             for (std::size_t k = 0; k < n; ++k)
@@ -316,10 +320,10 @@ TEST_P(IntDctSizes, PrefixInverseMatchesDenseInverse)
                                  32768
                            : 0;
             xform.inverse(y, a);
-            xform.inversePrefix(
+            xform.inversePrefixQ15(
                 std::span<const std::int32_t>(y).first(prefix), b);
             for (std::size_t i = 0; i < n; ++i)
-                EXPECT_EQ(a[i], b[i])
+                EXPECT_EQ(IntDct::dequantize(a[i]), b[i])
                     << "n=" << n << " prefix=" << prefix
                     << " i=" << i;
         }
@@ -607,9 +611,9 @@ TEST(Simd, IdctPrefixBitIdenticalAcrossBackends)
 
 TEST(Simd, IntDctClassPathBitIdenticalAcrossBackends)
 {
-    // Same contract through the public IntDct entry points (what the
-    // codecs actually call): dense inverse and prefix inverse under
-    // each backend match the scalar-forced result exactly.
+    // Same contract through the public IntDct entry point the codec
+    // calls: the prefix inverse to samples under each backend matches
+    // the scalar-forced result exactly.
     for (const std::size_t n : {4u, 8u, 16u, 32u}) {
         Rng rng(910 + n);
         IntDct xform(n);
@@ -620,14 +624,14 @@ TEST(Simd, IntDctClassPathBitIdenticalAcrossBackends)
         for (std::size_t p = 0; p <= n; ++p) {
             const auto prefix =
                 std::span<const std::int32_t>(y).first(p);
-            std::vector<std::int32_t> golden(n), out(n);
+            std::vector<double> golden(n), out(n);
             {
                 BackendGuard g(simd::Backend::Scalar);
-                xform.inversePrefix(prefix, golden);
+                xform.inversePrefixQ15(prefix, golden);
             }
             for (simd::Backend b : supportedBackends()) {
                 BackendGuard g(b);
-                xform.inversePrefix(prefix, out);
+                xform.inversePrefixQ15(prefix, out);
                 EXPECT_EQ(out, golden)
                     << "n=" << n << " p=" << p << " backend "
                     << simd::backendName(b);
@@ -636,32 +640,117 @@ TEST(Simd, IntDctClassPathBitIdenticalAcrossBackends)
     }
 }
 
-TEST(Simd, PointwiseConversionsBitIdenticalAcrossBackends)
+/** idctPrefixQ15Into at every output length 0..n on every backend
+ *  against the scalar int32 IDCT followed by ldexp(x, -15), compared
+ *  bit for bit; nothing past `len` may be written. */
+void
+checkPrefix(const std::vector<std::int32_t> &m, std::size_t n,
+            const std::vector<std::int32_t> &y, std::size_t p, int shift)
 {
-    // Q15 dequantize and sign-magnitude expansion are bit-exact on
-    // any length, including the odd tails the vector paths peel.
+    std::vector<std::int32_t> x(n);
+    {
+        BackendGuard g(simd::Backend::Scalar);
+        simd::idctPrefixInto(m.data(), n, y.data(), p, shift, x.data());
+    }
+    std::vector<double> golden(n);
+    for (std::size_t i = 0; i < n; ++i)
+        golden[i] = std::ldexp(static_cast<double>(x[i]), -15);
+    for (std::size_t len = 0; len <= n; ++len) {
+        for (simd::Backend b : supportedBackends()) {
+            BackendGuard g(b);
+            std::vector<double> out(n, -7.0);
+            simd::idctPrefixQ15Into(m.data(), n, y.data(), p, shift,
+                                    out.data(), len);
+            const std::string tag =
+                "n=" + std::to_string(n) + " p=" + std::to_string(p) +
+                " len=" + std::to_string(len) + " shift=" +
+                std::to_string(shift) + " backend " +
+                std::string(simd::backendName(b));
+            EXPECT_EQ(std::memcmp(out.data(), golden.data(),
+                                  len * sizeof(double)),
+                      0)
+                << tag;
+            EXPECT_TRUE(std::all_of(
+                out.begin() + static_cast<std::ptrdiff_t>(len), out.end(),
+                [](double v) { return v == -7.0; }))
+                << "wrote past len: " << tag;
+        }
+    }
+}
+
+TEST(Simd, IdctPrefixQ15BitIdenticalToComposedScalar)
+{
+    // The fused window step must equal the scalar int32 IDCT followed
+    // by ldexp(x, -15) to the last bit, on every backend, at every
+    // size, prefix count and output length (the odd tails the vector
+    // paths peel included), and write exactly `len` doubles. The
+    // coefficient draws cover negative accumulators, exact .5 rounding
+    // ties and results outside int32 (the cast wraps); a shift past 32
+    // makes the sign fill of the vector paths' 64-bit shift visible.
     Rng rng(920);
+    const auto draw32 = [&rng] {
+        return static_cast<std::int32_t>(
+            static_cast<std::uint32_t>(rng.uniformInt(1ull << 32)));
+    };
+    for (const std::size_t n : {4u, 8u, 16u, 32u}) {
+        IntDct xform(n);
+        const int ishift = xform.inverseShift();
+        std::vector<std::int32_t> m(n * n);
+        for (std::size_t k = 0; k < n; ++k)
+            for (std::size_t i = 0; i < n; ++i)
+                m[k * n + i] = xform.coeff(k, i);
+        std::vector<std::vector<std::int32_t>> ys;
+        for (int draw = 0; draw < 4; ++draw) {
+            std::vector<std::int32_t> q15(n), ties(n), wide(n);
+            for (std::size_t k = 0; k < n; ++k) {
+                q15[k] = static_cast<std::int32_t>(
+                             rng.uniformInt(65536)) -
+                         32768;
+                // Row 0 is all 64s: an odd multiple of 2^(ishift - 7)
+                // in y[0] puts every output's accumulator exactly
+                // half-way between two results, and later
+                // coefficients that are multiples of 2^ishift keep it
+                // there.
+                ties[k] = (static_cast<std::int32_t>(
+                               rng.uniformInt(512)) -
+                           256) *
+                          (std::int32_t{1} << ishift);
+                wide[k] = draw32();
+            }
+            ties[0] = (2 * static_cast<std::int32_t>(
+                               rng.uniformInt(4096)) -
+                       4095) *
+                      (std::int32_t{1} << (ishift - 7));
+            ys.push_back(q15);
+            ys.push_back(ties);
+            ys.push_back(wide);
+        }
+        for (const auto &y : ys)
+            for (const int shift : {ishift, 40})
+                for (std::size_t p = 0; p <= n; ++p)
+                    checkPrefix(m, n, y, p, shift);
+    }
+}
+
+TEST(Simd, SignMagnitudeBitIdenticalAcrossBackends)
+{
+    // Sign-magnitude expansion is bit-exact on any length, including
+    // the odd tails the vector paths peel.
+    Rng rng(921);
     for (const std::size_t n : {0u, 1u, 3u, 4u, 5u, 7u, 8u, 15u, 33u,
                                 128u}) {
-        std::vector<std::int32_t> q(n), sm(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            q[i] = static_cast<std::int32_t>(rng.uniformInt(65536)) -
-                   32768;
+        std::vector<std::int32_t> sm(n);
+        for (std::size_t i = 0; i < n; ++i)
             sm[i] =
                 static_cast<std::int32_t>(rng.uniformInt(0x10000));
-        }
-        std::vector<double> gq(n), gs(n), oq(n), os(n);
+        std::vector<double> gs(n), os(n);
         {
             BackendGuard g(simd::Backend::Scalar);
-            simd::dequantizeQ15Into(q.data(), n, gq.data());
             simd::signMagnitudeToDoubles(sm.data(), n, gs.data());
         }
         for (simd::Backend b : supportedBackends()) {
             BackendGuard g(b);
-            simd::dequantizeQ15Into(q.data(), n, oq.data());
             simd::signMagnitudeToDoubles(sm.data(), n, os.data());
-            EXPECT_EQ(oq, gq)
-                << "n=" << n << " backend " << simd::backendName(b);
             EXPECT_EQ(os, gs)
                 << "n=" << n << " backend " << simd::backendName(b);
         }

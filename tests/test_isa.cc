@@ -843,6 +843,40 @@ TEST(IsaExecution, InterpreterRejectsForeignPrograms)
     past.emit(Instruction::play(3, 0, 0, 1));
     past.emit(Instruction::halt());
     EXPECT_THROW(interp.run(past), std::invalid_argument);
+
+    // Windows off the channel's grid are rejected before the codec or
+    // the waveform-memory model sees them: a PLAY range that runs past
+    // the last window (alone, or once coalesced with the PLAY before
+    // it) and a PREFETCH past it, up to the 31-bit window field.
+    const waveform::GateId x0{waveform::GateType::X, 0, -1};
+    ASSERT_NE(clib.find(x0), nullptr);
+    const auto nwin =
+        static_cast<std::uint16_t>(clib.find(x0)->cw.q.numWindows());
+    const auto runWords = [&](auto emit) {
+        InstructionProgram p;
+        const auto r = p.internGate(x0);
+        emit(p, r);
+        p.emit(Instruction::halt());
+        return interp.run(InstructionProgram::fromWords(p.toWords()));
+    };
+    EXPECT_NO_THROW(runWords([&](InstructionProgram &p, std::uint16_t r) {
+        p.emit(Instruction::play(r, 1, 0, nwin));
+        p.emit(Instruction::prefetch(r, 1, nwin - 1u, 1));
+    }));
+    EXPECT_THROW(runWords([&](InstructionProgram &p, std::uint16_t r) {
+        p.emit(Instruction::play(r, 1, nwin - 1u, 2));
+    }),
+                 std::invalid_argument);
+    EXPECT_THROW(runWords([&](InstructionProgram &p, std::uint16_t r) {
+        p.emit(Instruction::play(r, 1, 0, nwin));
+        p.emit(Instruction::play(r, 1, nwin, 1));
+    }),
+                 std::invalid_argument);
+    for (const std::uint32_t w : {std::uint32_t{nwin}, 0x7FFFFFFFu})
+        EXPECT_THROW(runWords([&](InstructionProgram &p, std::uint16_t r) {
+            p.emit(Instruction::prefetch(r, 1, w, 0));
+        }),
+                     std::invalid_argument);
 }
 
 TEST(IsaProgram, WordStreamCarriesLibraryVersionStamp)

@@ -211,9 +211,11 @@ TEST(TieredStore, CapacityZeroHoldsNothing)
     EXPECT_EQ(s.entries, 0u);
 }
 
-/** A seeded trace of replayed window ranges: a few channels, each
- *  played from a random first window for a random length, so runs
- *  form, overlap, split and get evicted. */
+/** A seeded trace of replayed window ranges: a few channels under a
+ *  few library versions, each played from a random first window for a
+ *  random length, so runs form, overlap, split and get evicted, and
+ *  channel slot vectors grow (windows up to ~300), drain and get
+ *  reused. */
 struct RangeTrace
 {
     std::uint64_t state = 12345;
@@ -229,8 +231,10 @@ struct RangeTrace
     std::pair<DecodedWindowKey, std::uint32_t>
     range()
     {
-        DecodedWindowKey k = key(static_cast<int>(next(6)), next(4));
+        DecodedWindowKey k = key(static_cast<int>(next(6)),
+                                 next(8) == 0 ? next(300) : next(4));
         k.channel = static_cast<std::uint8_t>(next(2));
+        k.libVersion = next(3);
         return {k, 1 + next(next(4) == 0 ? 12 : 3)};
     }
 };
@@ -301,6 +305,30 @@ TEST(TieredStore, RangeAccessMatchesPerWindowAccess)
             EXPECT_GT(a.hits, 0u);
             EXPECT_GT(a.evictions + a.demotions, 0u);
         }
+    }
+}
+
+TEST(TieredStore, RetiredVersionsReleaseTheirSlots)
+{
+    // Every library version is a new set of channels; once a retired
+    // version's tags age out, its slot vectors must go with them, so
+    // the index never holds more channels than resident tags.
+    for (const auto policy :
+         {AdmissionPolicy::AdmitAlways, AdmissionPolicy::TinyLfu}) {
+        TieredWindowStore store(TieredStoreConfig{12, 5, policy});
+        for (std::uint64_t v = 1; v <= 1000; ++v) {
+            for (int q = 0; q < 3; ++q) {
+                DecodedWindowKey k = key(q, 0);
+                k.libVersion = v;
+                store.access(k, 8, 6);
+                k.window = 40;
+                store.prefetch(k, 8, static_cast<std::uint8_t>(v & 1));
+                ASSERT_LE(store.indexedChannels(), store.stats().entries)
+                    << admissionPolicyName(policy) << " version " << v;
+            }
+        }
+        EXPECT_GT(store.stats().evictions, 1000u);
+        EXPECT_LE(store.indexedChannels(), 17u);
     }
 }
 
@@ -1249,6 +1277,66 @@ TEST(RackAdaptive, PlayWindowsMatchesPerWindowOracle)
     EXPECT_TRUE(sawFlatCut);
     EXPECT_TRUE(sawRampCut);
     EXPECT_TRUE(sawTail);
+}
+
+TEST(RackAdaptive, PlayerCountsEveryDecodedBatch)
+{
+    // decode.kernel.{batches,windows} count the batches the player
+    // decodes: every ramp window of an adaptive channel, in chunks of
+    // at most kBatchWindows per ramp run, and no flat window.
+    const AdaptiveRackFixture fx;
+    const Rack rack = fx.makeRack(0);
+    const VersionedLibrary vlib = rack.currentLibrary();
+    auto &batches =
+        telemetry::Registry::global().counter("decode.kernel.batches");
+    auto &windows =
+        telemetry::Registry::global().counter("decode.kernel.windows");
+    TieredWindowStore store(64);
+    WindowPlayer player(rack, vlib, &store);
+    std::size_t played = 0, flat = 0;
+    for (const auto &[id, e] : vlib.lib->entries()) {
+        for (const std::uint8_t ch : {0, 1}) {
+            const core::CompressedChannel &channel =
+                ch == 0 ? e.cw.i : e.cw.q;
+            const auto nwin =
+                static_cast<std::uint32_t>(channel.numWindows());
+            // Oracle: each ramp (or plain) window extends the open
+            // batch while it continues the same segment and the batch
+            // is not full; flat windows are never decoded.
+            std::uint64_t wantWindows = 0, wantBatches = 0;
+            const core::AdaptiveSegment *prev = nullptr;
+            std::uint32_t open = 0;
+            for (std::uint32_t w = 0; w < nwin; ++w) {
+                std::size_t local = 0;
+                const core::AdaptiveSegment *seg =
+                    channel.isAdaptive()
+                        ? &channel.segmentForWindow(w, local)
+                        : nullptr;
+                const bool continues = w > 0 && seg == prev;
+                prev = seg;
+                if (seg && seg->isFlat) {
+                    ++flat;
+                    continue;
+                }
+                ++wantWindows;
+                if (!continues || open == WindowPlayer::kBatchWindows) {
+                    ++wantBatches;
+                    open = 0;
+                }
+                ++open;
+            }
+            const auto b0 = batches.value(), w0 = windows.value();
+            PlaybackCounters c;
+            player.playWindows(id, e, ch, 0, nwin, c);
+            EXPECT_EQ(windows.value() - w0, wantWindows)
+                << waveform::toString(id) << " ch " << int{ch};
+            EXPECT_EQ(batches.value() - b0, wantBatches)
+                << waveform::toString(id) << " ch " << int{ch};
+            played += nwin;
+        }
+    }
+    EXPECT_GT(flat, 0u);
+    EXPECT_GT(played, flat);
 }
 
 // --------------------------------------------------- library registry
