@@ -124,6 +124,18 @@ main(int argc, char **argv)
             if (name == "guadalupe" &&
                 workers == worker_counts.back())
                 guadalupe_speedup_8w = speedup;
+            if (workers == 1) {
+                // Forward transforms per library window: 1.0 when
+                // every channel is transformed once, however many
+                // threshold rounds Algorithm 1 runs on it.
+                std::uint64_t windows = 0;
+                for (const auto &[id, e] : r.library.entries())
+                    windows += e.cw.i.numWindows() + e.cw.q.numWindows();
+                report.metric(
+                    "forward_windows_per_channel_window_" + name,
+                    static_cast<double>(r.stats.forwardWindows) /
+                        static_cast<double>(windows));
+            }
         }
     }
     report.print(scaling);

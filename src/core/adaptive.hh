@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "core/compressor.hh"
+#include "waveform/shapes.hh"
 
 namespace compaqt::core
 {
@@ -69,18 +70,25 @@ class AdaptiveCompressor
     CompressedWaveform
     compress(const waveform::IqWaveform &wf) const;
 
-    /** Compress one channel at the configured threshold. */
-    CompressedChannel
-    compressChannel(std::span<const double> x) const;
+    /** The window-aligned flat run of `x` worth a bypass segment (at
+     *  least min_flat_windows windows; start and length are
+     *  multiples of the window size); length 0 when there is none. */
+    waveform::FlatRun alignedFlatRun(std::span<const double> x) const;
 
     /**
-     * Compress one channel at an explicit threshold — the entry point
-     * the library compile plane uses so adaptive candidates are built
-     * at the exact threshold Algorithm 1 settled on for the gate.
+     * Build the adaptive channel of `x` around `flat` at `threshold`
+     * from x's coefficients (the ramp codec's analyze() of the whole
+     * channel): ramp segments are window-aligned, so each one is a
+     * range of the plain channel's windows and nothing is
+     * transformed again. The library compile plane calls this with
+     * the coefficients and the threshold Algorithm 1 settled on for
+     * the gate.
+     * @pre flat is alignedFlatRun(x) with length > 0
      */
     CompressedChannel
     compressChannel(std::span<const double> x,
-                    double threshold) const;
+                    const ChannelCoefficients &coeffs,
+                    waveform::FlatRun flat, double threshold) const;
 
   private:
     Compressor ramps_;

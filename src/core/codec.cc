@@ -164,7 +164,62 @@ equalizeChannels(CompressedChannel &a, CompressedChannel &b,
     }
 }
 
-// --------------------------------------------------------- ICodec defaults
+CoefficientView
+ChannelCoefficients::windows(std::size_t first, std::size_t count) const
+{
+    const std::size_t nwin = numWindows();
+    COMPAQT_REQUIRE(windowSize > 0 && first <= nwin &&
+                        count <= nwin - first,
+                    "coefficient window range out of range");
+    const std::size_t begin = first * windowSize;
+    const std::size_t len = count * windowSize;
+    // Only one of the two buffers is filled.
+    const std::span<const std::int32_t> ic(icoeffs);
+    const std::span<const double> fc(fcoeffs);
+    return {begin < numSamples ? std::min(len, numSamples - begin) : 0,
+            windowSize, ic.empty() ? ic : ic.subspan(begin, len),
+            fc.empty() ? fc : fc.subspan(begin, len)};
+}
+
+// ---------------------------------------------------------- ICodec encode
+
+namespace
+{
+
+thread_local std::uint64_t t_analyzedWindows = 0;
+
+/** Per-thread coefficient scratch for the one-shot encode entry
+ *  points (codec instances are per-thread, so this is too). */
+WaveformCoefficients &
+analysisScratch()
+{
+    static thread_local WaveformCoefficients scratch;
+    return scratch;
+}
+
+} // namespace
+
+void
+ICodec::analyze(ConstSampleSpan x, ChannelCoefficients &out) const
+{
+    transformInto(x, out);
+    t_analyzedWindows += out.numWindows();
+}
+
+std::uint64_t
+ICodec::analyzedWindowsOnThread()
+{
+    return t_analyzedWindows;
+}
+
+void
+ICodec::encodeInto(ConstSampleSpan x, double threshold,
+                   CompressedChannel &out) const
+{
+    ChannelCoefficients &c = analysisScratch().i;
+    analyze(x, c);
+    encodeFrom(c.view(), threshold, out);
+}
 
 void
 ICodec::compress(const waveform::IqWaveform &wf, double threshold,
@@ -172,13 +227,27 @@ ICodec::compress(const waveform::IqWaveform &wf, double threshold,
 {
     COMPAQT_REQUIRE(wf.i.size() == wf.q.size(),
                     "I/Q channel length mismatch");
+    WaveformCoefficients &c = analysisScratch();
+    analyze(wf.i, c.i);
+    analyze(wf.q, c.q);
+    compressFrom(c, threshold, out);
+}
+
+void
+ICodec::compressFrom(const WaveformCoefficients &c, double threshold,
+                     CompressedWaveform &out) const
+{
+    COMPAQT_REQUIRE(c.i.numSamples == c.q.numSamples,
+                    "I/Q channel length mismatch");
     COMPAQT_REQUIRE(threshold >= 0.0, "negative threshold");
     out.codec.assign(name());
-    encodeInto(wf.i, threshold, out.i);
-    encodeInto(wf.q, threshold, out.q);
+    encodeFrom(c.i.view(), threshold, out.i);
+    encodeFrom(c.q.view(), threshold, out.q);
     out.windowSize = out.i.windowSize;
     equalizeChannels(out.i, out.q, isInteger());
 }
+
+// --------------------------------------------------------- ICodec defaults
 
 void
 ICodec::decompress(const CompressedWaveform &cw,

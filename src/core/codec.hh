@@ -22,8 +22,8 @@
  * coefficientScale), so a given threshold trades distortion for
  * compression comparably across codecs.
  *
- * Streaming decode plane: the decode primitives are span-based —
- * encodeInto / decodeInto / decompressWindowInto operate on
+ * Streaming decode plane: the primitives are span-based —
+ * analyze / encodeFrom / decodeInto / decompressWindowInto operate on
  * caller-owned memory (SampleSpan) and perform no allocation in
  * steady state. The historical std::vector entry points remain as
  * thin shims over the span path; new codecs implement only the span
@@ -34,6 +34,7 @@
 #define COMPAQT_CORE_CODEC_HH
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -252,30 +253,37 @@ struct CompressedWaveform
 };
 
 /**
- * Split a thresholded coefficient window into its verbatim prefix
- * plus the trailing-zero run folded into the RLE codeword, reusing
- * out's buffers. Every windowed codec packs through this one helper
- * so the prefix+zeros == windowSize invariant (which channel
- * equalization and the hardware RLE decoder rely on) has a single
- * definition.
+ * Threshold one coefficient window and split it into its verbatim
+ * prefix plus the trailing-zero run folded into the RLE codeword,
+ * reusing out's buffers: coefficients with |c| < threshold become
+ * zero, then the zeros after the last kept coefficient become the
+ * run. Every windowed codec packs through this one helper so the
+ * prefix+zeros == windowSize invariant (which channel equalization
+ * and the hardware RLE decoder rely on) has a single definition.
  */
 template <typename T>
 void
-packWindow(std::span<const T> coeffs, CompressedWindow &out)
+packWindow(std::span<const T> coeffs, T threshold, CompressedWindow &out)
 {
     std::size_t last = coeffs.size();
-    while (last > 0 && coeffs[last - 1] == T{})
+    while (last > 0 && (coeffs[last - 1] == T{} ||
+                        std::abs(coeffs[last - 1]) < threshold))
         --last;
     out.zeros = static_cast<std::uint32_t>(coeffs.size() - last);
     const auto end =
         coeffs.begin() + static_cast<std::ptrdiff_t>(last);
+    std::vector<T> *kept = nullptr;
     if constexpr (std::is_same_v<T, double>) {
-        out.fcoeffs.assign(coeffs.begin(), end);
+        kept = &out.fcoeffs;
         out.icoeffs.clear();
     } else {
-        out.icoeffs.assign(coeffs.begin(), end);
+        kept = &out.icoeffs;
         out.fcoeffs.clear();
     }
+    kept->assign(coeffs.begin(), end);
+    for (T &c : *kept)
+        if (std::abs(c) < threshold)
+            c = T{};
 }
 
 /**
@@ -290,6 +298,73 @@ void equalizeChannels(CompressedChannel &a, CompressedChannel &b,
                       bool integer_coeffs);
 
 /**
+ * Non-owning view of analyzed coefficients for consecutive windows of
+ * one channel: what ICodec::encodeFrom thresholds and packs.
+ */
+struct CoefficientView
+{
+    /** Samples the coefficients describe (the encoded channel's
+     *  numSamples). */
+    std::size_t numSamples = 0;
+    /** Coefficients per window; 0 = one unwindowed block. */
+    std::size_t windowSize = 0;
+    /** Window-major coefficients, each window zero-padded to
+     *  windowSize: integer codecs fill icoeffs, the others
+     *  fcoeffs. */
+    std::span<const std::int32_t> icoeffs;
+    std::span<const double> fcoeffs;
+};
+
+/**
+ * One channel as ICodec::analyze() leaves it: every window
+ * transformed, nothing thresholded. Algorithm 1 analyzes a channel
+ * once and re-thresholds these coefficients every round; the adaptive
+ * planner cuts its ramp segments from the same windows.
+ */
+struct ChannelCoefficients
+{
+    std::size_t numSamples = 0;
+    /** Coefficients per window; 0 = one unwindowed block (the delta
+     *  codec keeps the samples themselves). */
+    std::size_t windowSize = 0;
+    std::vector<std::int32_t> icoeffs;
+    std::vector<double> fcoeffs;
+
+    /** Transformed windows (0 for an unwindowed block). */
+    std::size_t
+    numWindows() const
+    {
+        return windowSize == 0
+                   ? 0
+                   : (numSamples + windowSize - 1) / windowSize;
+    }
+
+    /** The whole channel. */
+    CoefficientView
+    view() const
+    {
+        return {numSamples, windowSize, icoeffs, fcoeffs};
+    }
+
+    /**
+     * Windows [first, first + count) as a channel of their own: the
+     * coefficients analyze() gives for the samples those windows
+     * cover, because windows are transformed independently and only
+     * the channel's last window is zero-padded.
+     * @pre windowSize > 0 && first + count <= numWindows()
+     */
+    CoefficientView windows(std::size_t first,
+                            std::size_t count) const;
+};
+
+/** Both channels of one pulse, analyzed. */
+struct WaveformCoefficients
+{
+    ChannelCoefficients i;
+    ChannelCoefficients q;
+};
+
+/**
  * A compression algorithm instance, configured for one window size.
  *
  * Instances are created by the CodecRegistry and may cache transform
@@ -298,8 +373,12 @@ void equalizeChannels(CompressedChannel &a, CompressedChannel &b,
  * state an instance is NOT safe to share between threads; create one
  * per thread.
  *
- * Implementations provide the three span primitives (encodeInto,
- * decodeInto, and — for an O(windowSize) random-access path —
+ * Encoding is two steps, so a caller that tries many thresholds on
+ * one channel transforms it once: analyze() (quantize and transform
+ * every window) and encodeFrom() (threshold and pack). encodeInto()
+ * is their composition and the only other way in. Implementations
+ * provide transformInto and encodeFrom plus the decode span primitives
+ * (decodeInto and, for an O(windowSize) random-access path,
  * decompressWindowInto); the vector-based channel entry points are
  * non-virtual shims over them.
  */
@@ -327,13 +406,34 @@ class ICodec
     // ------------------------------------------- span primitives
 
     /**
-     * Compress one channel from caller-owned samples into `out`,
-     * reusing its buffers and overwriting every payload field.
+     * Transform one channel from caller-owned samples into `out`,
+     * reusing its buffers: every window quantized and transformed,
+     * nothing thresholded. Adds out.numWindows() to the calling
+     * thread's analyzedWindowsOnThread() tally.
+     */
+    void analyze(ConstSampleSpan x, ChannelCoefficients &out) const;
+
+    /**
+     * Threshold and pack analyzed coefficients into `out`, reusing
+     * its buffers and overwriting every payload field.
      * @param threshold coefficient-zeroing threshold, normalized
      *        amplitude units
      */
-    virtual void encodeInto(ConstSampleSpan x, double threshold,
+    virtual void encodeFrom(const CoefficientView &c, double threshold,
                             CompressedChannel &out) const = 0;
+
+    /** Compress one channel: analyze() into per-thread scratch, then
+     *  encodeFrom(). */
+    void encodeInto(ConstSampleSpan x, double threshold,
+                    CompressedChannel &out) const;
+
+    /**
+     * Monotonic count of windows analyze() has transformed on the
+     * calling thread. The library compile plane differences it
+     * around each gate, so every transform a compile runs is
+     * counted whichever entry point ran it.
+     */
+    static std::uint64_t analyzedWindowsOnThread();
 
     /**
      * Reconstruct one whole channel into caller-owned memory with no
@@ -392,14 +492,6 @@ class ICodec
 
     // ------------------------- vector shims over the span path
 
-    /** Shim: encodeInto with a std::span input. */
-    void
-    compressChannel(std::span<const double> x, double threshold,
-                    CompressedChannel &out) const
-    {
-        encodeInto(x, threshold, out);
-    }
-
     /** Shim: size `out` to the channel and decodeInto it. */
     void decompressChannel(const CompressedChannel &ch,
                            std::vector<double> &out) const;
@@ -412,14 +504,19 @@ class ICodec
     // --------------------------------------- waveform-level API
 
     /**
-     * Compress both channels into `out`. The default implementation
-     * compresses each channel and equalizes per-window prefixes
-     * between I and Q as Section IV-C requires (a no-op for codecs
-     * that produce no windows).
+     * Compress both channels into `out`: analyze() each, then
+     * compressFrom().
      */
-    virtual void compress(const waveform::IqWaveform &wf,
-                          double threshold,
-                          CompressedWaveform &out) const;
+    void compress(const waveform::IqWaveform &wf, double threshold,
+                  CompressedWaveform &out) const;
+
+    /**
+     * Encode both analyzed channels at one threshold and equalize
+     * their per-window prefixes as Section IV-C requires (a no-op
+     * for codecs that produce no windows) — one Algorithm-1 round.
+     */
+    void compressFrom(const WaveformCoefficients &c, double threshold,
+                      CompressedWaveform &out) const;
 
     /** Reconstruct both channels into `out`. */
     virtual void decompress(const CompressedWaveform &cw,
@@ -442,6 +539,12 @@ class ICodec
         decompress(cw, out);
         return out;
     }
+
+  private:
+    /** analyze()'s codec-specific step: fill every field of `out`
+     *  from `x`. */
+    virtual void transformInto(ConstSampleSpan x,
+                               ChannelCoefficients &out) const = 0;
 };
 
 /**

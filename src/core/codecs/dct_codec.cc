@@ -61,32 +61,23 @@ class FloatDctCodec final : public ICodec
     std::size_t windowSize() const override { return ws_; }
 
     void
-    encodeInto(ConstSampleSpan x, double threshold,
+    encodeFrom(const CoefficientView &c, double threshold,
                CompressedChannel &out) const override
     {
-        const std::size_t ws = whole_ ? x.size() : ws_;
-        COMPAQT_REQUIRE(ws > 0, "cannot compress an empty waveform");
-        ensurePlan(ws);
+        const std::size_t ws = c.windowSize;
+        COMPAQT_REQUIRE(ws > 0 && (whole_ || ws == ws_),
+                        "coefficients do not match the codec's windows");
+        const std::size_t nwin = (c.numSamples + ws - 1) / ws;
+        COMPAQT_REQUIRE(c.fcoeffs.size() == nwin * ws,
+                        "coefficients do not match the codec's windows");
 
-        out.numSamples = x.size();
+        out.numSamples = c.numSamples;
         out.windowSize = ws;
         out.delta = {};
-        const std::size_t nwin = (x.size() + ws - 1) / ws;
         out.windows.resize(nwin);
-
-        for (std::size_t w = 0; w < nwin; ++w) {
-            const std::size_t begin = w * ws;
-            const std::size_t len = std::min(ws, x.size() - begin);
-            std::copy_n(x.begin() + static_cast<std::ptrdiff_t>(begin),
-                        len, xbuf_.begin());
-            std::fill(xbuf_.begin() + static_cast<std::ptrdiff_t>(len),
-                      xbuf_.end(), 0.0);
-            plan_->forward(xbuf_, ybuf_);
-            for (double &c : ybuf_)
-                if (std::abs(c) < threshold)
-                    c = 0.0;
-            packWindow<double>(ybuf_, out.windows[w]);
-        }
+        for (std::size_t w = 0; w < nwin; ++w)
+            packWindow(c.fcoeffs.subspan(w * ws, ws), threshold,
+                       out.windows[w]);
     }
 
     void
@@ -184,6 +175,31 @@ class FloatDctCodec final : public ICodec
     }
 
   private:
+    void
+    transformInto(ConstSampleSpan x,
+                  ChannelCoefficients &out) const override
+    {
+        const std::size_t ws = whole_ ? x.size() : ws_;
+        COMPAQT_REQUIRE(ws > 0, "cannot compress an empty waveform");
+        ensurePlan(ws);
+
+        const std::size_t nwin = (x.size() + ws - 1) / ws;
+        out.numSamples = x.size();
+        out.windowSize = ws;
+        out.icoeffs.clear();
+        out.fcoeffs.resize(nwin * ws);
+        for (std::size_t w = 0; w < nwin; ++w) {
+            const std::size_t begin = w * ws;
+            const std::size_t len = std::min(ws, x.size() - begin);
+            std::copy_n(x.begin() + static_cast<std::ptrdiff_t>(begin),
+                        len, xbuf_.begin());
+            std::fill(xbuf_.begin() + static_cast<std::ptrdiff_t>(len),
+                      xbuf_.end(), 0.0);
+            plan_->forward(xbuf_,
+                           std::span(out.fcoeffs).subspan(begin, ws));
+        }
+    }
+
     /** Inverse-transform one packed window into xbuf_ — shared by
      *  the channel and per-window decode paths. The trailing-zero
      *  run is never expanded: the prefix-sparse inverse consumes the
@@ -205,7 +221,6 @@ class FloatDctCodec final : public ICodec
         if (!plan_ || plan_->size() != ws) {
             plan_ = std::make_unique<dsp::DctPlan>(ws);
             xbuf_.resize(ws);
-            ybuf_.resize(ws);
         }
     }
 
@@ -215,7 +230,6 @@ class FloatDctCodec final : public ICodec
     // (DCT-N sees a new size per waveform length).
     mutable std::unique_ptr<dsp::DctPlan> plan_;
     mutable std::vector<double> xbuf_;
-    mutable std::vector<double> ybuf_;
 };
 
 } // namespace

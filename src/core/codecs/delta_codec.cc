@@ -42,14 +42,17 @@ class DeltaCodec final : public ICodec
     std::size_t windowSize() const override { return ws_; }
 
     void
-    encodeInto(ConstSampleSpan x, double /*threshold*/,
+    encodeFrom(const CoefficientView &c, double /*threshold*/,
                CompressedChannel &out) const override
     {
         // Lossless: the threshold has no coefficient domain to act on.
-        out.numSamples = x.size();
+        COMPAQT_REQUIRE(c.windowSize == 0 &&
+                            c.fcoeffs.size() == c.numSamples,
+                        "delta coefficients must be the samples");
+        out.numSamples = c.numSamples;
         out.windowSize = ws_;
         out.windows.clear();
-        out.delta = dsp::deltaEncode(x, ws_);
+        out.delta = dsp::deltaEncode(c.fcoeffs, ws_);
     }
 
     void
@@ -100,6 +103,19 @@ class DeltaCodec final : public ICodec
     }
 
   private:
+    /** Delta coding has no transform: the "coefficients" are the
+     *  samples, one unwindowed block (the checkpoint stride is the
+     *  codec's, applied by encodeFrom). */
+    void
+    transformInto(ConstSampleSpan x,
+                  ChannelCoefficients &out) const override
+    {
+        out.numSamples = x.size();
+        out.windowSize = 0;
+        out.icoeffs.clear();
+        out.fcoeffs.assign(x.begin(), x.end());
+    }
+
     std::size_t ws_;
 };
 

@@ -2,10 +2,11 @@
  * @file
  * "int-dct" — the windowed HEVC-style integer DCT of Section IV-C,
  * the codec the hardware decompression engine of Section V decodes.
- * Samples are quantized to Q15, transformed with dsp::IntDct, and
- * thresholded in integer coefficient units (the normalized-amplitude
- * threshold is converted through the transform's coefficientScale so
- * thresholds are comparable across codecs).
+ * Samples are quantized to Q15 and transformed with dsp::IntDct
+ * (analyze), then thresholded in integer coefficient units
+ * (encodeFrom; the normalized-amplitude threshold is converted
+ * through the transform's coefficientScale so thresholds are
+ * comparable across codecs).
  *
  * The decode side is span-native: every decode entry point writes each
  * window straight into caller-owned memory through one fused
@@ -32,7 +33,7 @@ class IntDctCodec final : public ICodec
 {
   public:
     explicit IntDctCodec(std::size_t ws)
-        : xform_(ws), xbuf_(ws), ybuf_(ws)
+        : xform_(ws), xbuf_(ws)
     {
     }
 
@@ -42,32 +43,24 @@ class IntDctCodec final : public ICodec
     std::size_t windowSize() const override { return xform_.size(); }
 
     void
-    encodeInto(ConstSampleSpan x, double threshold,
+    encodeFrom(const CoefficientView &c, double threshold,
                CompressedChannel &out) const override
     {
         const std::size_t ws = xform_.size();
+        const std::size_t nwin = (c.numSamples + ws - 1) / ws;
+        COMPAQT_REQUIRE(c.windowSize == ws &&
+                            c.icoeffs.size() == nwin * ws,
+                        "coefficients do not match the codec's windows");
         const auto thr = static_cast<std::int32_t>(
             std::lround(threshold * xform_.coefficientScale()));
 
-        out.numSamples = x.size();
+        out.numSamples = c.numSamples;
         out.windowSize = ws;
         out.delta = {};
-        const std::size_t nwin = (x.size() + ws - 1) / ws;
         out.windows.resize(nwin);
-
-        for (std::size_t w = 0; w < nwin; ++w) {
-            const std::size_t begin = w * ws;
-            const std::size_t len = std::min(ws, x.size() - begin);
-            for (std::size_t k = 0; k < len; ++k)
-                xbuf_[k] = dsp::IntDct::quantize(x[begin + k]);
-            for (std::size_t k = len; k < ws; ++k)
-                xbuf_[k] = 0;
-            xform_.forward(xbuf_, ybuf_);
-            for (std::int32_t &c : ybuf_)
-                if (std::abs(c) < thr)
-                    c = 0;
-            packWindow<std::int32_t>(ybuf_, out.windows[w]);
-        }
+        for (std::size_t w = 0; w < nwin; ++w)
+            packWindow(c.icoeffs.subspan(w * ws, ws), thr,
+                       out.windows[w]);
     }
 
     void
@@ -139,6 +132,28 @@ class IntDctCodec final : public ICodec
     }
 
   private:
+    void
+    transformInto(ConstSampleSpan x,
+                  ChannelCoefficients &out) const override
+    {
+        const std::size_t ws = xform_.size();
+        const std::size_t nwin = (x.size() + ws - 1) / ws;
+        out.numSamples = x.size();
+        out.windowSize = ws;
+        out.fcoeffs.clear();
+        out.icoeffs.resize(nwin * ws);
+        for (std::size_t w = 0; w < nwin; ++w) {
+            const std::size_t begin = w * ws;
+            const std::size_t len = std::min(ws, x.size() - begin);
+            for (std::size_t k = 0; k < len; ++k)
+                xbuf_[k] = dsp::IntDct::quantize(x[begin + k]);
+            std::fill(xbuf_.begin() + static_cast<std::ptrdiff_t>(len),
+                      xbuf_.end(), 0);
+            xform_.forward(xbuf_,
+                           std::span(out.icoeffs).subspan(begin, ws));
+        }
+    }
+
     /** Decode one packed window into `out` (its first out.size()
      *  samples) — the single definition of the window-decode step
      *  every decode path shares (their bit-exactness contract depends
@@ -156,7 +171,6 @@ class IntDctCodec final : public ICodec
 
     dsp::IntDct xform_;
     mutable std::vector<std::int32_t> xbuf_;
-    mutable std::vector<std::int32_t> ybuf_;
 };
 
 } // namespace

@@ -26,19 +26,4 @@ Compressor::compress(const waveform::IqWaveform &wf,
     codec_->compress(wf, cfg_.threshold, out);
 }
 
-CompressedChannel
-Compressor::compressChannel(std::span<const double> x) const
-{
-    CompressedChannel out;
-    compressChannel(x, out);
-    return out;
-}
-
-void
-Compressor::compressChannel(std::span<const double> x,
-                            CompressedChannel &out) const
-{
-    codec_->compressChannel(x, cfg_.threshold, out);
-}
-
 } // namespace compaqt::core

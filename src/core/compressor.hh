@@ -72,13 +72,6 @@ class Compressor
     void compress(const waveform::IqWaveform &wf,
                   CompressedWaveform &out) const;
 
-    /** Compress a single channel (no cross-channel equalization). */
-    CompressedChannel compressChannel(std::span<const double> x) const;
-
-    /** Buffer-reusing variant of compressChannel(). */
-    void compressChannel(std::span<const double> x,
-                         CompressedChannel &out) const;
-
   private:
     CompressorConfig cfg_;
     std::unique_ptr<const ICodec> codec_;

@@ -186,47 +186,6 @@ Decompressor::decompressWindowInto(const CompressedChannel &ch,
         .decompressWindowInto(seg.windows, local, out);
 }
 
-std::size_t
-Decompressor::decodeWindowsInto(const CompressedChannel &ch,
-                                std::string_view codec_name,
-                                std::size_t first_window,
-                                std::size_t window_count,
-                                SampleSpan out) const
-{
-    if (window_count == 0)
-        return 0;
-    if (!ch.isAdaptive()) {
-        return codec(codec_name, ch.windowSize)
-            .decodeWindowsInto(ch, first_window, window_count, out);
-    }
-
-    // Adaptive channel: the batch splits into maximal runs of windows
-    // sharing one segment. Flat runs collapse to a single constant
-    // fill; ramp runs forward to the codec's batch primitive on the
-    // segment's sub-channel (local indices stay consecutive within a
-    // segment).
-    const ICodec &c = codec(codec_name, ch.windowSize);
-    std::size_t written = 0;
-    ch.forEachSegmentRun(
-        first_window, window_count,
-        [&](const AdaptiveSegment &seg, std::size_t local,
-            std::size_t global, std::size_t run) {
-            const std::size_t len = ch.rangeSamples(global, run);
-            COMPAQT_REQUIRE(out.size() >= written + len,
-                            "window batch output span too small");
-            if (seg.isFlat) {
-                std::fill_n(out.begin() +
-                                static_cast<std::ptrdiff_t>(written),
-                            len, seg.value);
-                written += len;
-            } else {
-                written += c.decodeWindowsInto(seg.windows, local, run,
-                                               out.subspan(written));
-            }
-        });
-    return written;
-}
-
 void
 Decompressor::decompressWindow(const CompressedChannel &ch,
                                std::string_view codec_name,

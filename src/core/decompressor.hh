@@ -89,23 +89,6 @@ class Decompressor
                           std::vector<double> &out) const;
 
     /**
-     * Batch-of-windows decode — the registry-dispatched face of
-     * ICodec::decodeWindowsInto. Output is bit-identical to
-     * decompressWindowInto() called per window at the running offset.
-     * Adaptive channels split the batch at segment boundaries: a run
-     * of flat windows becomes one constant fill (IDCT bypass), a run
-     * of ramp windows becomes one codec batch on the segment's
-     * sub-channel.
-     * @pre first_window + window_count <= ch.numWindows()
-     * @pre out.size() >= total samples in the batch
-     */
-    std::size_t decodeWindowsInto(const CompressedChannel &ch,
-                                  std::string_view codec,
-                                  std::size_t first_window,
-                                  std::size_t window_count,
-                                  SampleSpan out) const;
-
-    /**
      * Resolve the calling thread's codec instance for (name, window
      * size) once, so a per-window hot loop dispatches straight to
      * the span primitives instead of re-probing the instance cache

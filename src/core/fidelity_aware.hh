@@ -43,6 +43,8 @@ struct FidelityAwareResult
     double threshold = 0.0;
     /** Worst-channel MSE of the returned compression. */
     double mse = 0.0;
+    /** Per-channel MSE (I, Q) of the returned compression. */
+    double channelMse[2] = {0.0, 0.0};
     /** False when even the floor threshold misses the target. */
     bool converged = false;
     /** Number of compress/decompress iterations performed. */
@@ -65,6 +67,18 @@ FidelityAwareResult compressFidelityAware(const waveform::IqWaveform &wf,
  */
 FidelityAwareResult compressFidelityAware(const ICodec &codec,
                                           const waveform::IqWaveform &wf,
+                                          const FidelityAwareConfig &cfg);
+
+/**
+ * Same search on `wf` already analyzed by `codec` (ICodec::analyze of
+ * both channels): each round only thresholds, packs, decodes and
+ * measures, so a pulse is transformed once however many rounds it
+ * takes. The library compile plane calls this with coefficients it
+ * reuses for adaptive ramp segments.
+ */
+FidelityAwareResult compressFidelityAware(const ICodec &codec,
+                                          const waveform::IqWaveform &wf,
+                                          const WaveformCoefficients &coeffs,
                                           const FidelityAwareConfig &cfg);
 
 } // namespace compaqt::core

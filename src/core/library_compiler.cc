@@ -23,15 +23,17 @@ namespace
 
 /**
  * One worker's single-owner scratch: the codec instance Algorithm 1
- * iterates on, the segmentation engine for adaptive candidates, and
- * reused decode buffers. Created lazily the first time a worker id
- * claims a job, so an 8-worker pool compiling a 5-gate library builds
- * at most 5 of them.
+ * iterates on, the segmentation engine for adaptive candidates, the
+ * gate's analyzed coefficients both of them encode from, and reused
+ * decode buffers. Created lazily the first time a worker id claims a
+ * job, so an 8-worker pool compiling a 5-gate library builds at most
+ * 5 of them.
  */
 struct WorkerState
 {
     std::unique_ptr<const ICodec> codec;
     std::optional<AdaptiveCompressor> adaptive;
+    WaveformCoefficients coeffs;
     Decompressor dec;
     std::vector<double> scratch;
 };
@@ -45,6 +47,7 @@ struct GateResult
     std::size_t plannedWords = 0;
     std::size_t adaptiveChannels = 0;
     int iterations = 0;
+    std::uint64_t forwardWindows = 0;
 };
 
 /**
@@ -138,8 +141,13 @@ LibraryCompiler::compile(const waveform::PulseLibrary &lib) const
         COMPAQT_TRACE_SPAN("compile", "library.compile_gate", "gate",
                            i, "samples", job.wf->i.size());
 
+        // Transform each channel once: every Algorithm-1 round and
+        // the adaptive candidates encode from these coefficients.
+        const std::uint64_t analyzed0 = ICodec::analyzedWindowsOnThread();
+        state->codec->analyze(job.wf->i, state->coeffs.i);
+        state->codec->analyze(job.wf->q, state->coeffs.q);
         FidelityAwareResult r = compressFidelityAware(
-            *state->codec, *job.wf, cfg_.fidelity);
+            *state->codec, *job.wf, state->coeffs, cfg_.fidelity);
         cell.entry.cw = std::move(r.compressed);
         cell.entry.threshold = r.threshold;
         cell.entry.mse = r.mse;
@@ -153,54 +161,49 @@ LibraryCompiler::compile(const waveform::PulseLibrary &lib) const
         // cheaper AND still meets the same MSE target. Skipped when
         // the plain compression already missed the target — the
         // planner must not stack distortion on a failing gate.
-        bool replanned = false;
         if (plan && r.converged) {
             const std::span<const double> x[2] = {job.wf->i,
                                                   job.wf->q};
+            const ChannelCoefficients *coeffs[2] = {&state->coeffs.i,
+                                                    &state->coeffs.q};
             CompressedChannel *slot[2] = {&cell.entry.cw.i,
                                           &cell.entry.cw.q};
+            // Worst-channel MSE of what actually ships, so entry.mse
+            // describes the shipped bytes.
+            double shipped[2] = {r.channelMse[0], r.channelMse[1]};
             for (int c = 0; c < 2; ++c) {
-                CompressedChannel cand =
-                    state->adaptive->compressChannel(x[c],
-                                                     r.threshold);
-                if (!cand.isAdaptive() ||
-                    cand.totalWords() >= slot[c]->totalWords())
+                const auto flat = state->adaptive->alignedFlatRun(x[c]);
+                if (flat.length == 0)
+                    continue;
+                CompressedChannel cand = state->adaptive->compressChannel(
+                    x[c], *coeffs[c], flat, r.threshold);
+                if (cand.totalWords() >= slot[c]->totalWords())
                     continue;
                 state->scratch.resize(cand.numSamples);
                 state->dec.decodeChannelInto(
                     cand, cfg_.fidelity.base.codec, state->scratch);
-                if (dsp::mse(x[c], state->scratch) >
-                    cfg_.fidelity.targetMse)
+                const double mse = dsp::mse(x[c], state->scratch);
+                if (mse > cfg_.fidelity.targetMse)
                     continue;
                 *slot[c] = std::move(cand);
+                shipped[c] = mse;
                 ++cell.adaptiveChannels;
-                replanned = true;
             }
             if (cell.adaptiveChannels == 1) {
                 // Exactly one channel went adaptive: the other was
                 // prefix-equalized against a representation that no
-                // longer ships, so drop its padding words.
+                // longer ships, so drop its padding words (its decoded
+                // samples, and so its MSE, do not change).
                 stripEqualizationPadding(cell.entry.cw.i.isAdaptive()
                                              ? cell.entry.cw.q
                                              : cell.entry.cw.i);
             }
-            if (replanned) {
-                // Re-measure the worst-channel MSE of what actually
-                // ships, so entry.mse describes the shipped bytes.
-                double worst = 0.0;
-                for (int c = 0; c < 2; ++c) {
-                    state->scratch.resize(slot[c]->numSamples);
-                    state->dec.decodeChannelInto(
-                        *slot[c], cfg_.fidelity.base.codec,
-                        state->scratch);
-                    worst = std::max(worst,
-                                     dsp::mse(x[c], state->scratch));
-                }
-                cell.entry.mse = worst;
-            }
+            cell.entry.mse = std::max(shipped[0], shipped[1]);
         }
         cell.plannedWords = cell.entry.cw.i.totalWords() +
                             cell.entry.cw.q.totalWords();
+        cell.forwardWindows =
+            ICodec::analyzedWindowsOnThread() - analyzed0;
     });
     const auto t1 = std::chrono::steady_clock::now();
 
@@ -219,6 +222,7 @@ LibraryCompiler::compile(const waveform::PulseLibrary &lib) const
         out.stats.plannedWords += cell.plannedWords;
         out.stats.thresholdIterations +=
             static_cast<std::uint64_t>(cell.iterations);
+        out.stats.forwardWindows += cell.forwardWindows;
         out.library.insert(*jobs[i].id, std::move(cell.entry));
     }
 

@@ -6,7 +6,9 @@
  * across gates on a common::Executor worker pool — each worker owns
  * its codec/segmentation instances (single-owner scratch contract),
  * results are written by gate index, and the reduction is serial, so
- * an N-worker compile is bit-identical to a 1-worker compile.
+ * an N-worker compile is bit-identical to a 1-worker compile. Each
+ * channel is transformed once (ICodec::analyze); Algorithm 1's rounds
+ * and the adaptive candidate encode from those coefficients.
  *
  * On top of the parallel fan-out it plans **per channel** which
  * representation ships: every channel first gets the configured
@@ -65,6 +67,11 @@ struct LibraryCompileStats
     std::size_t plannedWords = 0;
     /** Total Algorithm-1 compress/decompress iterations. */
     std::uint64_t thresholdIterations = 0;
+    /** Windows run through the codec's forward transform
+     *  (ICodec::analyze) on the compile's workers. Each channel is
+     *  analyzed once, so this equals the library's window count
+     *  however many threshold rounds ran. */
+    std::uint64_t forwardWindows = 0;
     /** Wall-clock of the compile fan-out. */
     double wallSeconds = 0.0;
     /** Worker count the compile ran with. */

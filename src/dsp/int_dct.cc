@@ -99,10 +99,14 @@ IntDct::IntDct(std::size_t n)
     fshift_ = (total + 1) / 2;
     ishift_ = total - fshift_;
 
+    scale_ = 64.0 * std::sqrt(static_cast<double>(n)) *
+             std::ldexp(1.0, kInputFractionBits - fshift_);
+
     m_.resize(n * n);
+    mt_.resize(n * n);
     for (std::size_t k = 0; k < n; ++k)
         for (std::size_t i = 0; i < n; ++i)
-            m_[k * n + i] = matrixEntry(n, k, i);
+            mt_[i * n + k] = m_[k * n + i] = matrixEntry(n, k, i);
 }
 
 int
@@ -112,19 +116,14 @@ IntDct::coeff(std::size_t k, std::size_t i) const
     return m_[k * n_ + i];
 }
 
-double
-IntDct::coefficientScale() const
-{
-    const double s = 64.0 * std::sqrt(static_cast<double>(n_));
-    return s * std::ldexp(1.0, kInputFractionBits - fshift_);
-}
-
 std::int32_t
 IntDct::quantize(double x)
 {
-    const double scaled = std::round(std::ldexp(x, kInputFractionBits));
-    const double limit = std::ldexp(1.0, kInputFractionBits) - 1.0;
-    return static_cast<std::int32_t>(std::clamp(scaled, -limit, limit));
+    // x * 2^15 is exact (a power-of-two scale), as ldexp would be.
+    constexpr double kOne = 1 << kInputFractionBits;
+    const double scaled = std::round(x * kOne);
+    return static_cast<std::int32_t>(
+        std::clamp(scaled, -(kOne - 1.0), kOne - 1.0));
 }
 
 double
@@ -139,13 +138,11 @@ IntDct::forward(std::span<const std::int32_t> x,
 {
     COMPAQT_REQUIRE(x.size() == n_ && y.size() == n_,
                     "IntDct::forward size mismatch");
-    const std::int64_t round = std::int64_t{1} << (fshift_ - 1);
-    for (std::size_t k = 0; k < n_; ++k) {
-        std::int64_t acc = 0;
-        for (std::size_t i = 0; i < n_; ++i)
-            acc += std::int64_t{m_[k * n_ + i]} * x[i];
-        y[k] = static_cast<std::int32_t>((acc + round) >> fshift_);
-    }
+    constexpr std::int32_t kMax = (1 << kInputFractionBits) - 1;
+    for (const std::int32_t v : x)
+        COMPAQT_REQUIRE(v >= -kMax && v <= kMax,
+                        "IntDct::forward input outside Q15");
+    simd::fdctInto(mt_.data(), n_, x.data(), fshift_, y.data());
 }
 
 void

@@ -13,7 +13,9 @@
  * Fixed-point pipeline (bit-exact across software compress and the
  * hardware decompression engine):
  *   - input samples are Q15: x_int = round(x * 2^15), |x| <= 1
- *   - forward:  y = (M  x_int) >> fshift   (compile-time, int64 accum)
+ *   - forward:  y = (M  x_int) >> fshift   (compile-time, rounded;
+ *               int32 accumulation is exact: |x| <= 2^15 - 1,
+ *               |M| <= 90 and N <= 32 keep every sum below 2^31)
  *   - inverse:  x = (M^T y  + r) >> ishift (runtime engine, rounded)
  * with fshift + ishift = 12 + log2(N) so that M M^T = 4096*N*I cancels
  * exactly and idct(dct(x)) == x up to rounding.
@@ -61,9 +63,9 @@ class IntDct
      * Conversion factor between normalized waveform amplitude and
      * integer coefficient units: a pure orthonormal-domain coefficient
      * of magnitude m maps to an integer coefficient of about
-     * m * coefficientScale().
+     * m * coefficientScale(). Computed once, by the constructor.
      */
-    double coefficientScale() const;
+    double coefficientScale() const { return scale_; }
 
     /** Quantize a normalized sample to Q15 with saturation. */
     static std::int32_t quantize(double x);
@@ -71,7 +73,13 @@ class IntDct
     /** Dequantize a Q15 sample back to a normalized double. */
     static double dequantize(std::int32_t x);
 
-    /** Forward transform of one window. @pre sizes == size() */
+    /**
+     * Forward transform of one Q15 window, dispatched through the
+     * dsp::simd forward kernel (int32 accumulation, bit-exact with
+     * the int64 product for every input in range).
+     * @pre sizes == size(); every |x[i]| <= 32767 (quantize()'s
+     *      range; checked)
+     */
     void forward(std::span<const std::int32_t> x,
                  std::span<std::int32_t> y) const;
 
@@ -131,9 +139,12 @@ class IntDct
     std::size_t n_;
     int fshift_;
     int ishift_;
+    double scale_;
     /** Row-major n_ x n_ transform matrix (int32 lanes, the layout
      *  the dsp::simd IDCT kernels consume directly). */
     std::vector<std::int32_t> m_;
+    /** Its transpose, the layout of the dsp::simd forward kernel. */
+    std::vector<std::int32_t> mt_;
 };
 
 } // namespace compaqt::dsp

@@ -45,6 +45,26 @@ idctPrefixScalar(const std::int32_t *m, std::size_t n,
 }
 
 void
+fdctScalar(const std::int32_t *mt, std::size_t n,
+           const std::int32_t *x, int fshift, std::int32_t *y)
+{
+    // Accumulate straight into y, one input sample at a time over
+    // contiguous output lanes (the loop shape the AVX2 kernel
+    // vectorizes); the sums stay below 2^31 (see simd.hh).
+    for (std::size_t k = 0; k < n; ++k)
+        y[k] = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::int32_t *row = mt + i * n;
+        const std::int32_t xi = x[i];
+        for (std::size_t k = 0; k < n; ++k)
+            y[k] += row[k] * xi;
+    }
+    const std::int32_t round = std::int32_t{1} << (fshift - 1);
+    for (std::size_t k = 0; k < n; ++k)
+        y[k] = (y[k] + round) >> fshift;
+}
+
+void
 idctPrefixQ15Scalar(const std::int32_t *m, std::size_t n,
                     const std::int32_t *y, std::size_t p, int ishift,
                     double *out, std::size_t len)
@@ -130,6 +150,62 @@ idctPrefixAvx2(const std::int32_t *m, std::size_t n,
             static_cast<std::int32_t>((lanes[2] + round) >> ishift);
         x[i + 3] =
             static_cast<std::int32_t>((lanes[3] + round) >> ishift);
+    }
+}
+
+/**
+ * The n = 8B forward transform: B 8-lane int32 accumulators stay in
+ * registers across every input sample, each x[i] broadcast once and
+ * multiplied into row i of the transposed matrix (vpmulld keeps the
+ * low 32 bits, the whole product here). The rounded shift is one
+ * vpsrad per block.
+ */
+template <std::size_t B>
+__attribute__((target("avx2"), always_inline)) inline void
+fdctBlocksAvx2(const std::int32_t *mt, const std::int32_t *x,
+               int fshift, std::int32_t *y)
+{
+    constexpr std::size_t n = 8 * B;
+    __m256i acc[B];
+    for (std::size_t b = 0; b < B; ++b)
+        acc[b] = _mm256_setzero_si256();
+    for (std::size_t i = 0; i < n; ++i) {
+        const __m256i xi = _mm256_set1_epi32(x[i]);
+        const std::int32_t *row = mt + i * n;
+        for (std::size_t b = 0; b < B; ++b)
+            acc[b] = _mm256_add_epi32(
+                acc[b],
+                _mm256_mullo_epi32(
+                    _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
+                        row + 8 * b)),
+                    xi));
+    }
+    const __m256i round = _mm256_set1_epi32(std::int32_t{1}
+                                            << (fshift - 1));
+    const __m128i shift = _mm_cvtsi32_si128(fshift);
+    for (std::size_t b = 0; b < B; ++b)
+        _mm256_storeu_si256(
+            reinterpret_cast<__m256i *>(y + 8 * b),
+            _mm256_sra_epi32(_mm256_add_epi32(acc[b], round), shift));
+}
+
+__attribute__((target("avx2"))) void
+fdctAvx2(const std::int32_t *mt, std::size_t n, const std::int32_t *x,
+         int fshift, std::int32_t *y)
+{
+    switch (n) {
+    case 8:
+        fdctBlocksAvx2<1>(mt, x, fshift, y);
+        return;
+    case 16:
+        fdctBlocksAvx2<2>(mt, x, fshift, y);
+        return;
+    case 32:
+        fdctBlocksAvx2<4>(mt, x, fshift, y);
+        return;
+    default:
+        fdctScalar(mt, n, x, fshift, y);
+        return;
     }
 }
 
@@ -566,6 +642,22 @@ idctPrefixInto(const std::int32_t *m, std::size_t n,
 #endif
     default:
         idctPrefixScalar(m, n, y, p, ishift, x);
+        return;
+    }
+}
+
+void
+fdctInto(const std::int32_t *mt, std::size_t n, const std::int32_t *x,
+         int fshift, std::int32_t *y)
+{
+    switch (activeBackend()) {
+#if COMPAQT_SIMD_X86
+    case Backend::Avx2:
+        fdctAvx2(mt, n, x, fshift, y);
+        return;
+#endif
+    default:
+        fdctScalar(mt, n, x, fshift, y);
         return;
     }
 }

@@ -1,10 +1,10 @@
 /**
  * @file
- * Runtime-dispatched SIMD decode kernels — the arithmetic inner loops
- * of every decode path (int-DCT inverse, the fused int-DCT inverse to
+ * Runtime-dispatched SIMD kernels — the arithmetic inner loops of
+ * every decode path (int-DCT inverse, the fused int-DCT inverse to
  * Q15 samples that int-DCT windows decode through, float DCT inverse,
- * delta sign-magnitude expansion, RLE zero runs) behind one backend
- * switch.
+ * delta sign-magnitude expansion, RLE zero runs) and of the compile
+ * plane's forward int-DCT, behind one backend switch.
  *
  * The HEVC-style integer transform of Section IV-C was designed for
  * wide fixed-point SIMD: 32-bit coefficient lanes with 64-bit
@@ -97,6 +97,20 @@ std::size_t doubleLanes(Backend b);
 void idctPrefixInto(const std::int32_t *m, std::size_t n,
                     const std::int32_t *y, std::size_t p, int ishift,
                     std::int32_t *x);
+
+/**
+ * Forward integer DCT of one Q15 window, the compile plane's
+ * transform: y[k] = (sum_i m[k*n+i]*x[i] + round) >> fshift, read
+ * from the transposed matrix mt[i*n+k] = m[k*n+i] so that output
+ * lanes are contiguous. Accumulates in int32 lanes: |x[i]| <= 32767,
+ * |m| <= 90 and n <= 32 bound every partial sum by 94.4M < 2^31, so
+ * the result equals the int64 accumulation bit for bit on every
+ * backend. AVX2 runs n = 8/16/32 with one 8-lane accumulator per 8
+ * outputs; other sizes and NEON use the scalar kernel.
+ * @pre |x[i]| <= 32767; n <= 32; fshift in [1, 31]
+ */
+void fdctInto(const std::int32_t *mt, std::size_t n,
+              const std::int32_t *x, int fshift, std::int32_t *y);
 
 /**
  * One int-DCT window step, fused: the first `len` outputs of

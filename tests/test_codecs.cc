@@ -31,9 +31,9 @@ namespace
 // "unit-raw": stores every window's samples verbatim (identity
 // transform + trailing-zero RLE). Registered from this translation
 // unit only — none of the core entry points know about it. It
-// implements only the two required span primitives, so it also
-// exercises the base-class decode-and-slice fallback for
-// decompressWindowInto.
+// implements only the required primitives (transform, encode, whole-
+// channel decode), so it also exercises the base-class
+// decode-and-slice fallback for decompressWindowInto.
 
 class RawCodec final : public ICodec
 {
@@ -49,24 +49,17 @@ class RawCodec final : public ICodec
     std::size_t windowSize() const override { return ws_; }
 
     void
-    encodeInto(ConstSampleSpan x, double threshold,
+    encodeFrom(const CoefficientView &c, double threshold,
                CompressedChannel &out) const override
     {
-        out.numSamples = x.size();
+        out.numSamples = c.numSamples;
         out.windowSize = ws_;
         out.delta = {};
-        const std::size_t nwin = (x.size() + ws_ - 1) / ws_;
+        const std::size_t nwin = c.fcoeffs.size() / ws_;
         out.windows.resize(nwin);
-        for (std::size_t w = 0; w < nwin; ++w) {
-            const std::size_t begin = w * ws_;
-            const std::size_t len = std::min(ws_, x.size() - begin);
-            std::vector<double> win(ws_, 0.0);
-            for (std::size_t k = 0; k < len; ++k)
-                win[k] = std::abs(x[begin + k]) < threshold
-                             ? 0.0
-                             : x[begin + k];
-            packWindow<double>(win, out.windows[w]);
-        }
+        for (std::size_t w = 0; w < nwin; ++w)
+            packWindow(c.fcoeffs.subspan(w * ws_, ws_), threshold,
+                       out.windows[w]);
     }
 
     void
@@ -90,6 +83,19 @@ class RawCodec final : public ICodec
     }
 
   private:
+    // Identity transform: each window's coefficients are its samples,
+    // zero-padded.
+    void
+    transformInto(ConstSampleSpan x,
+                  ChannelCoefficients &out) const override
+    {
+        out.numSamples = x.size();
+        out.windowSize = ws_;
+        out.icoeffs.clear();
+        out.fcoeffs.assign(out.numWindows() * ws_, 0.0);
+        std::copy(x.begin(), x.end(), out.fcoeffs.begin());
+    }
+
     std::size_t ws_;
 };
 

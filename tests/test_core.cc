@@ -12,6 +12,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "circuits/surface_code.hh"
 #include "core/adaptive.hh"
 #include "core/compressed_library.hh"
 #include "core/compressor.hh"
@@ -250,6 +251,37 @@ TEST(Adaptive, FlatTopSplitsIntoThreeSegments)
     EXPECT_FALSE(ac.i.segments[0].isFlat);
     EXPECT_TRUE(ac.i.segments[1].isFlat);
     EXPECT_FALSE(ac.i.segments[2].isFlat);
+    // Ramps are cut from the whole channel's analyzed windows; they
+    // must equal encoding each ramp's samples on their own, also when
+    // the last window is a clamped tail (1000 samples).
+    const Compressor plain(cfg);
+    for (const auto &wf :
+         {testFlatTop(), waveform::gaussianSquare(1000, 200, 0.12, 0.15)}) {
+        const auto x = wf.i;
+        const auto cut = comp.compress(wf).i;
+        ASSERT_EQ(cut.segments.size(), 3u);
+        std::size_t begin = 0;
+        for (const auto &seg : cut.segments) {
+            if (!seg.isFlat) {
+                CompressedChannel own;
+                plain.codec().encodeInto(
+                    std::span<const double>(x).subspan(begin,
+                                                       seg.samples()),
+                    cfg.threshold, own);
+                ASSERT_EQ(seg.windows.windows.size(),
+                          own.windows.size());
+                EXPECT_EQ(seg.windows.numSamples, own.numSamples);
+                for (std::size_t w = 0; w < own.windows.size(); ++w) {
+                    EXPECT_EQ(seg.windows.windows[w].icoeffs,
+                              own.windows[w].icoeffs);
+                    EXPECT_EQ(seg.windows.windows[w].zeros,
+                              own.windows[w].zeros);
+                }
+            }
+            begin += seg.samples();
+        }
+        EXPECT_EQ(begin, x.size());
+    }
 }
 
 TEST(Adaptive, RoundTripMatchesOriginal)
@@ -287,21 +319,49 @@ TEST(Adaptive, WindowDecodeMatchesChannelDecode)
     EXPECT_EQ(assembled, golden);
 }
 
+/** Windows [first, first + count) of an adaptive channel decoded as
+ *  the window player decodes them: one constant fill per flat run,
+ *  one codec batch (ICodec::decodeWindowsInto) per ramp run on the
+ *  segment's sub-channel. */
+std::size_t
+decodeAdaptiveRange(const ICodec &codec, const CompressedChannel &ch,
+                    std::size_t first, std::size_t count,
+                    SampleSpan out)
+{
+    std::size_t written = 0;
+    ch.forEachSegmentRun(
+        first, count,
+        [&](const AdaptiveSegment &seg, std::size_t local,
+            std::size_t global, std::size_t run) {
+            if (seg.isFlat) {
+                const std::size_t len = ch.rangeSamples(global, run);
+                std::fill_n(out.begin() +
+                                static_cast<std::ptrdiff_t>(written),
+                            len, seg.value);
+                written += len;
+            } else {
+                written += codec.decodeWindowsInto(
+                    seg.windows, local, run, out.subspan(written));
+            }
+        });
+    return written;
+}
+
 TEST(Adaptive, BatchDecodeMatchesWindowDecodeAcrossBackends)
 {
-    // The Decompressor batch face must split an adaptive channel at
-    // segment boundaries (flat runs -> constant fill, ramp runs ->
-    // one codec batch) and still reassemble bit-identically to the
-    // per-window path, at every batch size and on every supported
-    // SIMD backend (the adaptive channel is integer-codec backed, so
-    // backend identity is exact). (The decode.kernel counters are the
-    // window player's; RackAdaptive.PlayerCountsEveryDecodedBatch
-    // checks them.)
+    // Splitting an adaptive channel at segment boundaries (flat runs
+    // -> constant fill, ramp runs -> one codec batch) must reassemble
+    // bit-identically to the per-window path, at every batch size
+    // and on every supported SIMD backend (the adaptive channel is
+    // integer-codec backed, so backend identity is exact). (The
+    // decode.kernel counters are the window player's;
+    // RackAdaptive.PlayerCountsEveryDecodedBatch checks them.)
     CompressorConfig cfg{"int-dct", 16, 1e-3};
     const AdaptiveCompressor comp(cfg);
     const auto ac = comp.compress(testFlatTop());
     ASSERT_TRUE(ac.i.isAdaptive());
     const Decompressor dec;
+    const ICodec &codec = dec.resolve(ac.codec, ac.i.windowSize);
     const std::size_t nwin = ac.i.numWindows();
 
     std::vector<double> golden;
@@ -320,8 +380,8 @@ TEST(Adaptive, BatchDecodeMatchesWindowDecodeAcrossBackends)
         std::size_t written = 0;
         for (std::size_t w = 0; w < nwin;) {
             const std::size_t run = std::min(k, nwin - w);
-            written += dec.decodeWindowsInto(
-                ac.i, ac.codec, w, run,
+            written += decodeAdaptiveRange(
+                codec, ac.i, w, run,
                 SampleSpan(assembled).subspan(written));
             w += run;
         }
@@ -338,8 +398,7 @@ TEST(Adaptive, BatchDecodeMatchesWindowDecodeAcrossBackends)
             continue;
         dsp::simd::setBackend(b);
         std::vector<double> out(golden.size(), -7.0);
-        dec.decodeWindowsInto(ac.i, ac.codec, 0, nwin,
-                              SampleSpan(out));
+        decodeAdaptiveRange(codec, ac.i, 0, nwin, SampleSpan(out));
         EXPECT_EQ(out, golden)
             << "backend " << dsp::simd::backendName(b);
     }
@@ -513,6 +572,75 @@ TEST(LibraryCompiler, WorkerCountDoesNotChangeTheLibrary)
     EXPECT_EQ(one.stats.adaptiveChannels,
               eight.stats.adaptiveChannels);
     EXPECT_EQ(eight.stats.workers, 8);
+}
+
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    for (const unsigned char c : bytes) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+TEST(LibraryCompiler, CompiledBytesArePinned)
+{
+    // Transform-once Algorithm 1, adaptive ramps cut from the analyzed
+    // windows and the vector forward kernel must not change one byte
+    // of what ships: FNV-1a of the saved library at WS=8, as compiled
+    // by the one-transform-per-round compile plane. Also pins the
+    // search and planning counts, one forward transform per window,
+    // and 1- vs 3-worker identity.
+    const auto d5 = circuits::makeSurfaceCode(
+        5, circuits::SurfaceLayout::Rotated, 1);
+    const auto d5cal = [&](int cal) {
+        return waveform::DeviceModel::synthetic(
+            "perfbench-d5-cal" + std::to_string(cal), d5.totalQubits(),
+            d5.nativeCoupling().edges());
+    };
+    struct Pin
+    {
+        waveform::DeviceModel dev;
+        std::uint64_t hash;
+        std::uint64_t iterations;
+        std::size_t adaptive;
+        std::size_t planned;
+    };
+    const Pin pins[] = {
+        {d5cal(0), 0x3f5326aadecc6507ull, 713, 427, 42484},
+        {d5cal(1), 0xb920549c1421f5b7ull, 726, 432, 42736},
+        {waveform::DeviceModel::ibm("washington"),
+         0xe9e19a80e358ebb9ull, 1552, 858, 88083},
+        {waveform::DeviceModel::ibm("bogota"), 0x1a2fa26ce90ef809ull,
+         54, 27, 2920},
+    };
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(pin.dev.name());
+        const auto lib = waveform::PulseLibrary::build(pin.dev);
+        LibraryCompilerConfig cfg = compilerConfig(true, 1);
+        cfg.fidelity.base.windowSize = 8;
+        const auto one = LibraryCompiler(cfg).compile(lib);
+        cfg.workers = 3;
+        const auto three = LibraryCompiler(cfg).compile(lib);
+
+        const std::string bytes = serialized(one.library);
+        EXPECT_EQ(fnv1a(bytes), pin.hash);
+        EXPECT_EQ(one.stats.thresholdIterations, pin.iterations);
+        EXPECT_EQ(one.stats.adaptiveChannels, pin.adaptive);
+        EXPECT_EQ(one.stats.plannedWords, pin.planned);
+        std::uint64_t windows = 0;
+        for (const auto &[id, e] : one.library.entries())
+            windows += e.cw.i.numWindows() + e.cw.q.numWindows();
+        EXPECT_EQ(one.stats.forwardWindows, windows);
+
+        EXPECT_EQ(serialized(three.library), bytes);
+        EXPECT_EQ(three.stats.thresholdIterations, pin.iterations);
+        EXPECT_EQ(three.stats.adaptiveChannels, pin.adaptive);
+        EXPECT_EQ(three.stats.plannedWords, pin.planned);
+        EXPECT_EQ(three.stats.forwardWindows, windows);
+    }
 }
 
 TEST(LibraryCompiler, PerChannelPlanningSavesWordsOnFlatTops)

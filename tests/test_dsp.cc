@@ -235,6 +235,26 @@ TEST(IntDct, QuantizeDequantizeBounds)
     EXPECT_EQ(IntDct::quantize(2.0), 32767); // saturates
     EXPECT_NEAR(IntDct::dequantize(IntDct::quantize(0.123)), 0.123,
                 1e-4);
+    // The 2^15 scale is a constant multiply, exact like ldexp: the
+    // same results on random draws, exact .5 ties and the saturation
+    // edges.
+    const auto viaLdexp = [](double x) {
+        const double limit = std::ldexp(1.0, 15) - 1.0;
+        return static_cast<std::int32_t>(std::clamp(
+            std::round(std::ldexp(x, 15)), -limit, limit));
+    };
+    Rng rng(7);
+    std::vector<double> draws = {0.5 / 32768, -0.5 / 32768,
+                                 32766.5 / 32768, -32766.5 / 32768,
+                                 32767.5 / 32768, 1e-300, -1e300};
+    for (int i = 0; i < 2000; ++i) {
+        draws.push_back(rng.uniform(-1.2, 1.2));
+        draws.push_back(
+            (static_cast<double>(rng.uniformInt(65536)) - 32768.5) /
+            32768.0);
+    }
+    for (const double x : draws)
+        EXPECT_EQ(IntDct::quantize(x), viaLdexp(x)) << x;
 }
 
 class IntDctSizes : public ::testing::TestWithParam<std::size_t>
@@ -342,6 +362,11 @@ TEST_P(IntDctSizes, CoefficientScaleMapsAmplitudes)
         0.25 * std::sqrt(static_cast<double>(n)) *
         xform.coefficientScale();
     EXPECT_NEAR(y[0], expected, std::abs(expected) * 0.01 + 2.0);
+    // Computed once by the constructor, exactly the defining formula.
+    EXPECT_EQ(xform.coefficientScale(),
+              64.0 * std::sqrt(static_cast<double>(n)) *
+                  std::ldexp(1.0, IntDct::kInputFractionBits -
+                                      xform.forwardShift()));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSizes, IntDctSizes,
@@ -604,6 +629,68 @@ TEST(Simd, IdctPrefixBitIdenticalAcrossBackends)
                 EXPECT_EQ(out, golden)
                     << "n=" << n << " p=" << p << " backend "
                     << simd::backendName(b);
+            }
+        }
+    }
+}
+
+TEST(Simd, ForwardDctBitIdenticalToInt64Loop)
+{
+    // The forward kernel accumulates in int32 lanes; on Q15 inputs it
+    // must equal the int64 reference product on every backend,
+    // including windows built to reach the accumulation bound
+    // (saturated, sign-matched to each row) and zero-padded tails.
+    for (const std::size_t n : {4u, 8u, 16u, 32u}) {
+        IntDct xform(n);
+        const auto oracle = [&](const std::vector<std::int32_t> &x) {
+            const int shift = xform.forwardShift();
+            std::vector<std::int32_t> y(n);
+            for (std::size_t k = 0; k < n; ++k) {
+                std::int64_t acc = 0;
+                for (std::size_t i = 0; i < n; ++i)
+                    acc += std::int64_t{xform.coeff(k, i)} * x[i];
+                y[k] = static_cast<std::int32_t>(
+                    (acc + (std::int64_t{1} << (shift - 1))) >> shift);
+            }
+            return y;
+        };
+
+        std::vector<std::vector<std::int32_t>> windows;
+        windows.emplace_back(n, 32767);
+        windows.emplace_back(n, -32767);
+        for (const std::int32_t s : {1, -1}) {
+            std::vector<std::int32_t> alt(n);
+            for (std::size_t i = 0; i < n; ++i)
+                alt[i] = (i % 2 ? -s : s) * 32767;
+            windows.push_back(alt);
+        }
+        for (std::size_t k = 0; k < n; ++k) {
+            std::vector<std::int32_t> worst(n);
+            for (std::size_t i = 0; i < n; ++i)
+                worst[i] = xform.coeff(k, i) < 0 ? -32767 : 32767;
+            windows.push_back(worst);
+        }
+        Rng rng(1700 + n);
+        for (int t = 0; t < 64; ++t) {
+            std::vector<std::int32_t> x(n);
+            for (auto &v : x)
+                v = static_cast<std::int32_t>(rng.uniformInt(65535)) -
+                    32767;
+            // Tails: the last window of a channel keeps `len`
+            // samples and is zero-padded.
+            const std::size_t len = 1 + t % n;
+            std::fill(x.begin() + static_cast<std::ptrdiff_t>(len),
+                      x.end(), 0);
+            windows.push_back(x);
+        }
+
+        for (simd::Backend b : supportedBackends()) {
+            BackendGuard g(b);
+            for (const auto &x : windows) {
+                std::vector<std::int32_t> y(n, -1);
+                xform.forward(x, y);
+                ASSERT_EQ(y, oracle(x))
+                    << "n=" << n << " backend " << simd::backendName(b);
             }
         }
     }

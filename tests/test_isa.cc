@@ -725,19 +725,30 @@ TEST(IsaExecution, SimdBackendsBitIdenticalThroughCompiledBatch)
                                  rackConfig(clib, 2, 1 << 14));
         runtime::RuntimeService svc(rack, {.workers = 1});
         const auto stats = svc.executeBatchCompiled({sched});
-        // Every window of every gate, decoded in playback's batches.
+        // Every codec-decoded window of every gate (plain channels
+        // and the ramp sub-channels of adaptive ones; flat segments
+        // are constant fills), decoded in playback's batches.
         const core::Decompressor dec;
         std::vector<double> decoded;
+        const auto decodeAll = [&](const core::CompressedChannel &ch,
+                                   const std::string &codec) {
+            const std::size_t nwin = ch.numWindows();
+            std::vector<double> out(nwin * ch.windowSize);
+            const auto n =
+                dec.resolve(codec, ch.windowSize)
+                    .decodeWindowsInto(ch, 0, nwin,
+                                       SampleSpan(out.data(), out.size()));
+            decoded.insert(decoded.end(), out.begin(), out.begin() + n);
+        };
         for (const auto &[id, e] : clib.entries())
             for (const auto *ch : {&e.cw.i, &e.cw.q}) {
-                const auto nwin =
-                    static_cast<std::uint32_t>(ch->numWindows());
-                std::vector<double> out(nwin * ch->windowSize);
-                const auto n = dec.decodeWindowsInto(
-                    *ch, e.cw.codec, 0, nwin,
-                    SampleSpan(out.data(), out.size()));
-                decoded.insert(decoded.end(), out.begin(),
-                               out.begin() + n);
+                if (!ch->isAdaptive()) {
+                    decodeAll(*ch, e.cw.codec);
+                    continue;
+                }
+                for (const auto &seg : ch->segments)
+                    if (!seg.isFlat)
+                        decodeAll(seg.windows, e.cw.codec);
             }
         return std::pair(stats, decoded);
     };
